@@ -39,7 +39,7 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from repro.datagen import GenerationConfig, dataset_statistics, generate_benchmark
-from repro.datagen.io import read_dataset_csv, write_dataset_csv
+from repro.datagen.io import DatasetFormatError, read_dataset_csv, write_dataset_csv
 from repro.datagen.records import Dataset
 from repro.datagen.wdc import WdcConfig, generate_wdc_products
 from repro.evaluation import format_table
@@ -66,17 +66,22 @@ def positive_int(text: str) -> int:
 
 
 def _require_dataset(path: Path) -> Dataset | None:
-    """Load a dataset CSV, or report the missing file identically everywhere.
+    """Load a dataset CSV, or report a bad one identically everywhere.
 
     Every dataset-consuming subcommand (``stats``, ``match``, ``run``) goes
     through this helper so the error text and exit behaviour never drift:
-    on a missing file it prints ``error: dataset file not found: <path>`` to
-    stderr and returns ``None`` (the caller exits 2).
+    on a missing file it prints ``error: dataset file not found: <path>``,
+    on a malformed one the located ``error: <path>:<line>: column ...``
+    message, to stderr, and returns ``None`` (the caller exits 2).
     """
     if not path.exists():
         print(f"error: dataset file not found: {path}", file=sys.stderr)
         return None
-    return read_dataset_csv(path)
+    try:
+        return read_dataset_csv(path)
+    except DatasetFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
 
 
 #: The execution-engine flags shared by ``match`` and ``run``; each maps 1:1

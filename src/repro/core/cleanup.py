@@ -3,16 +3,27 @@
 The clean-up removes likely false-positive pairwise predictions using only
 the structure of the match graph:
 
-* **Phase 1 — Minimum Edge Cut**: while the largest connected component is
-  bigger than the threshold ``gamma``, remove a minimum edge cut from it.
+* **Phase 1 — Minimum Edge Cut**: while a connected component is bigger
+  than the threshold ``gamma``, remove a minimum edge cut from it.
   Removing a minimum cut is guaranteed to split the component, so this phase
   quickly breaks up the huge components produced by a handful of false
   positives, at the cost of occasionally removing true edges.
-* **Phase 2 — Edge Betweenness Centrality**: while the largest component is
-  still bigger than ``mu`` (the expected maximum group size, normally the
-  number of data sources), remove the single edge with the highest edge
+* **Phase 2 — Edge Betweenness Centrality**: while a component is still
+  bigger than ``mu`` (the expected maximum group size, normally the number
+  of data sources), remove the single edge with the highest edge
   betweenness centrality.  This is slower but more surgical: bridges between
   densely connected sub-groups carry the most shortest paths.
+
+Every removal is chosen from, and applied to, one connected component, and
+both stopping conditions are per component.  So the graph is cleaned one
+component at a time (:func:`clean_components`): the initial components are
+computed once, components of at most ``mu`` nodes pass through untouched,
+and each larger one is worked down as a list of pieces — after a removal
+only the piece that was cut has its components recomputed.  The cleaned
+pieces are spliced back into :func:`~repro.graphs.components.connected_components`'
+order, so the result equals one whole-graph run.  The same driver serves
+the batch pipeline (no memo) and incremental ingestion (a memo of the
+components it cleaned before).
 
 The sensitivity variants of Section 5.2.1 are expressed through
 :class:`CleanupConfig`: ``gamma = mu`` gives the MEC-only variant,
@@ -23,12 +34,14 @@ The sensitivity variants of Section 5.2.1 are expressed through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import partial
 
 from repro.graphs.betweenness import max_betweenness_edge
 from repro.graphs.components import connected_components
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.graph import Edge, Graph, Node
 from repro.graphs.mincut import minimum_edge_cut
+from repro.graphs.union_find import union_find_components
 from repro.registry import register_cleanup
 
 
@@ -89,6 +102,148 @@ class CleanupReport:
         return len(self.removed_edges)
 
 
+@dataclass(frozen=True)
+class ComponentCleanup:
+    """The clean-up of one connected component.
+
+    The unit :func:`clean_components` splices, and what the incremental memo
+    stores under the component's exact (frozen) edge set: any change to the
+    component — a new edge, a vanished candidate, a flipped pre-cleanup
+    verdict — changes the key and forces a re-clean, which is what makes
+    memo reuse provably equivalent to a full re-run.
+    """
+
+    subcomponents: tuple[frozenset[Node], ...]
+    removed_edges: frozenset[Edge]
+    mincut_removals: int
+    betweenness_removals: int
+
+    @classmethod
+    def untouched(cls, nodes: Iterable[Node]) -> "ComponentCleanup":
+        return cls((frozenset(nodes),), frozenset(), 0, 0)
+
+
+#: Cleans one connected component, given its node set and its edges.
+ComponentCleaner = Callable[[set[Node], list[Edge]], ComponentCleanup]
+
+
+def clean_components(
+    edges: Iterable[Edge],
+    clean: ComponentCleaner,
+    components: list[set[Node]] | None = None,
+    memo: dict[frozenset, ComponentCleanup] | None = None,
+) -> tuple[list[set[Node]], CleanupReport]:
+    """Clean a graph one connected component at a time.
+
+    ``components`` are the connected components of ``edges`` in
+    :func:`connected_components`' order; they are computed here when not
+    given.  Each component is cleaned by ``clean`` unless ``memo`` holds an
+    entry for its exact edge set; on return ``memo`` holds exactly the
+    entries of this graph's components.  The cleaned pieces are spliced
+    into :func:`connected_components`' order (decreasing size, then smallest
+    member repr) and one :class:`CleanupReport` aggregates the removals, so
+    for a ``component_local`` strategy the result is indistinguishable from
+    cleaning the whole graph at once.
+    """
+    edges = list(edges)
+    if components is None:
+        components = union_find_components(edges)
+    owner: dict[Node, int] = {}
+    for index, component in enumerate(components):
+        owner.update(dict.fromkeys(component, index))
+    grouped: list[list[Edge]] = [[] for _ in components]
+    for edge in edges:
+        u, v = edge
+        if u == v:
+            raise ValueError(f"self-loop on node {u!r} is not allowed")
+        # The caller's edge objects go on as they are: the memo keys then
+        # share them with the caller's own edge set (one copy when pickled).
+        grouped[owner[u]].append(edge)
+
+    report = CleanupReport(
+        initial_largest_component=len(components[0]) if components else 0
+    )
+    next_memo: dict[frozenset, ComponentCleanup] = {}
+    pieces: list[set[Node]] = []
+    for component, component_edges in zip(components, grouped):
+        if memo is None:
+            result = clean(component, component_edges)
+        else:
+            key = frozenset(component_edges)
+            result = memo.get(key)
+            if result is None:
+                result = clean(component, component_edges)
+            next_memo[key] = result
+        pieces.extend(set(piece) for piece in result.subcomponents)
+        report.removed_edges.update(result.removed_edges)
+        report.mincut_removals += result.mincut_removals
+        report.betweenness_removals += result.betweenness_removals
+    if memo is not None:
+        memo.clear()
+        memo.update(next_memo)
+
+    pieces.sort(key=lambda piece: (-len(piece), min(repr(node) for node in piece)))
+    report.final_largest_component = len(pieces[0]) if pieces else 0
+    return pieces, report
+
+
+def run_algorithm1(
+    pieces: list[Graph],
+    config: CleanupConfig,
+    removed: Iterable[Edge] = (),
+) -> ComponentCleanup:
+    """Algorithm 1 on a worklist of connected pieces of one component.
+
+    A piece over ``gamma`` loses a minimum edge cut and a piece over ``mu``
+    its maximum-betweenness edge; then only that piece's components are
+    recomputed and go back on the worklist.  Pieces within ``mu`` are done.
+    The pieces are mutated.  ``removed`` seeds the removed-edge set without
+    counting towards either phase (used by strategies that remove edges
+    before handing over to Algorithm 1).
+    """
+    removed_edges = set(removed)
+    done: list[frozenset[Node]] = []
+    mincut_removals = betweenness_removals = 0
+    while pieces:
+        piece = pieces.pop()
+        size = piece.num_nodes
+        if size <= config.mu:
+            done.append(frozenset(piece.nodes()))
+            continue
+        cut = (
+            minimum_edge_cut(piece)
+            if config.gamma is not None and size > config.gamma
+            else None
+        )
+        if cut:
+            piece.remove_edges(cut)
+            removed_edges.update(cut)
+            mincut_removals += len(cut)
+        else:
+            edge, _ = max_betweenness_edge(piece)
+            piece.remove_edge(*edge)
+            removed_edges.add(edge)
+            betweenness_removals += 1
+        split = connected_components(piece)
+        if len(split) == 1:
+            pieces.append(piece)
+        else:
+            pieces.extend(piece.subgraph(part) for part in split)
+    return ComponentCleanup(
+        tuple(done), frozenset(removed_edges), mincut_removals, betweenness_removals
+    )
+
+
+def _algorithm1_component(
+    config: CleanupConfig, nodes: set[Node], edges: list[Edge]
+) -> ComponentCleanup:
+    if len(nodes) <= config.mu:
+        return ComponentCleanup.untouched(nodes)
+    # The induced subgraph inserts nodes in sorted order, so every traversal
+    # (and tie-break) below is independent of the edge order given.
+    return run_algorithm1([Graph(edges).subgraph(nodes)], config)
+
+
 @register_cleanup("gralmatch")
 def gralmatch_cleanup(
     edges: Iterable[tuple[str, str]],
@@ -101,63 +256,15 @@ def gralmatch_cleanup(
     describing the removals.
     """
     config = config or CleanupConfig()
-    graph = Graph(edges)
-    report = CleanupReport()
-
-    components = connected_components(graph)
-    report.initial_largest_component = len(components[0]) if components else 0
-
-    # Phase 1: Minimum Edge Cut until every component is <= gamma.
-    if config.gamma is not None:
-        _split_with_minimum_cuts(graph, config.gamma, report)
-
-    # Phase 2: Betweenness Centrality until every component is <= mu.
-    _refine_with_betweenness(graph, config.mu, report)
-
-    final_components = connected_components(graph)
-    report.final_largest_component = (
-        len(final_components[0]) if final_components else 0
-    )
-    return [set(component) for component in final_components], report
+    return clean_components(edges, partial(_algorithm1_component, config))
 
 
 # Every removal Algorithm 1 makes is chosen from (and applied to) a single
 # connected component's subgraph, and the stopping conditions are per
 # component — so cleaning each initial component in isolation yields exactly
-# the same final components and removals as one global run.  The incremental
-# subsystem relies on this to re-clean only *dirty* components; strategies
-# without the marker are re-run on the whole graph every ingest.
+# the same final components and removals as one global run.  The batch path
+# relies on this (gralmatch_cleanup cleans component by component through
+# clean_components), and so does the incremental subsystem, which re-cleans
+# only *dirty* components through the same driver; strategies without the
+# marker are re-run on the whole graph every ingest.
 gralmatch_cleanup.component_local = True
-
-
-def _split_with_minimum_cuts(graph: Graph, gamma: int, report: CleanupReport) -> None:
-    while True:
-        largest = _largest_component(graph)
-        if largest is None or len(largest) <= gamma:
-            return
-        subgraph = graph.subgraph(largest)
-        cut = minimum_edge_cut(subgraph)
-        if not cut:
-            return
-        graph.remove_edges(cut)
-        report.removed_edges.update(cut)
-        report.mincut_removals += len(cut)
-
-
-def _refine_with_betweenness(graph: Graph, mu: int, report: CleanupReport) -> None:
-    while True:
-        largest = _largest_component(graph)
-        if largest is None or len(largest) <= mu:
-            return
-        subgraph = graph.subgraph(largest)
-        edge, _ = max_betweenness_edge(subgraph)
-        graph.remove_edge(*edge)
-        report.removed_edges.add(edge)
-        report.betweenness_removals += 1
-
-
-def _largest_component(graph: Graph) -> set | None:
-    components = connected_components(graph)
-    if not components:
-        return None
-    return components[0]

@@ -18,12 +18,19 @@ alternatives that the ablation benchmark compares against Algorithm 1:
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import partial
 
-from repro.core.cleanup import CleanupConfig, CleanupReport, gralmatch_cleanup
+from repro.core.cleanup import (
+    CleanupConfig,
+    CleanupReport,
+    ComponentCleanup,
+    clean_components,
+    run_algorithm1,
+)
 from repro.graphs.betweenness import max_betweenness_edge
 from repro.graphs.bridges import bridges
 from repro.graphs.components import connected_components
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Edge, Graph, Node
 from repro.graphs.validation import density
 from repro.registry import register_cleanup
 
@@ -39,32 +46,26 @@ def bridge_removal_cleanup(
     they are exactly the "single false positive joining two groups" pattern
     of Figure 4 and cost O(n + m) to find.  Components that are still too
     large afterwards (false positives forming parallel paths) are handled by
-    the regular GraLMatch clean-up.
+    the regular GraLMatch clean-up.  Runs component by component through
+    :func:`~repro.core.cleanup.clean_components`, like Algorithm 1 itself.
     """
     config = config or CleanupConfig()
-    graph = Graph(edges)
-    report = CleanupReport()
-    components = connected_components(graph)
-    report.initial_largest_component = len(components[0]) if components else 0
+    return clean_components(edges, partial(_bridge_component, config))
 
-    removed_bridges = set()
-    for component in components:
-        if len(component) <= config.mu:
-            continue
-        subgraph = graph.subgraph(component)
-        for edge in bridges(subgraph):
-            removed_bridges.add(edge)
-    graph.remove_edges(removed_bridges)
 
-    remaining_components, fallback_report = gralmatch_cleanup(
-        [tuple(edge) for edge in graph.edges()], config
-    )
-
-    report.removed_edges = removed_bridges | fallback_report.removed_edges
-    report.mincut_removals = fallback_report.mincut_removals
-    report.betweenness_removals = fallback_report.betweenness_removals
-    report.final_largest_component = fallback_report.final_largest_component
-    return remaining_components, report
+def _bridge_component(
+    config: CleanupConfig, nodes: set[Node], edges: list[Edge]
+) -> ComponentCleanup:
+    if len(nodes) <= config.mu:
+        return ComponentCleanup.untouched(nodes)
+    component = Graph(edges).subgraph(nodes)
+    cut = bridges(component)
+    # Algorithm 1 continues on the remaining *edges*: a node the bridges
+    # left without any edge is in no returned component (grouping adds it
+    # back as a singleton).
+    remaining = Graph(edge for edge in component.edges() if edge not in cut)
+    pieces = [remaining.subgraph(part) for part in connected_components(remaining)]
+    return run_algorithm1(pieces, config, removed=cut)
 
 
 # Bridges are found per oversized component and the Algorithm 1 fallback is

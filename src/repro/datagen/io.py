@@ -8,6 +8,7 @@ generation (or model predictions) can be cached on disk and shared.
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 from repro.datagen.records import (
@@ -27,6 +28,24 @@ _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
 
 _TUPLE_FIELDS = {"security_isins"}
 _TUPLE_SEPARATOR = "|"
+
+#: Columns every dataset CSV must have: the record type plus the fields
+#: every record class requires (the ones without a default).
+_REQUIRED_COLUMNS = ("record_type",) + tuple(
+    f.name
+    for f in dataclasses.fields(Record)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+)
+
+
+class DatasetFormatError(ValueError):
+    """A dataset CSV that cannot be read, located by file, line and column."""
+
+    def __init__(self, path: Path, line: int, column: str, problem: str) -> None:
+        self.path = path
+        self.line = line
+        self.column = column
+        super().__init__(f"{path}:{line}: column {column!r}: {problem}")
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> Path:
@@ -64,23 +83,42 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> Path:
 
 
 def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
-    """Read a dataset previously written by :func:`write_dataset_csv`."""
+    """Read a dataset previously written by :func:`write_dataset_csv`.
+
+    Raises :class:`DatasetFormatError` naming the file, line and column when
+    the header lacks a required column, a row is truncated, or a row names
+    an unknown record type.
+    """
     path = Path(path)
     records: list[Record] = []
     with path.open("r", newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if header is not None:
+            for column in _REQUIRED_COLUMNS:
+                if column not in header:
+                    raise DatasetFormatError(path, 1, column, "missing from the header")
         for row in reader:
-            record_type = row.pop("record_type", "")
+            missing = [column for column, value in row.items() if value is None]
+            if missing:
+                raise DatasetFormatError(
+                    path,
+                    reader.line_num,
+                    missing[0],
+                    f"missing: the row has {len(header) - len(missing)} of "
+                    f"{len(header)} fields",
+                )
+            record_type = row.pop("record_type")
             record_class = _RECORD_TYPES.get(record_type)
             if record_class is None:
-                raise ValueError(f"unknown record_type {record_type!r} in {path}")
+                raise DatasetFormatError(
+                    path, reader.line_num, "record_type", f"unknown type {record_type!r}"
+                )
             records.append(_row_to_record(record_class, row))
     return Dataset(name or path.stem, records)
 
 
 def _row_to_record(record_class: type[Record], row: dict[str, str]) -> Record:
-    import dataclasses
-
     kwargs: dict[str, object] = {}
     field_names = {f.name for f in dataclasses.fields(record_class)}
     for column, raw in row.items():

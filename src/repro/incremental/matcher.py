@@ -24,9 +24,10 @@ the exact inputs of a deterministic function:
   cheap), then each connected component's clean-up is memoised by its
   frozen edge set: untouched components splice through without a single
   graph-algorithm call, and only *dirty* components (any edge added,
-  vanished, or re-tagged) are re-cleaned.  Component locality of the
-  clean-up strategies makes this exactly equal to a global clean-up (see
-  ``component_local`` in :mod:`repro.core.cleanup`).
+  vanished, or re-tagged) are re-cleaned.  The splice is the batch
+  clean-up's own driver, :func:`repro.core.cleanup.clean_components`, given
+  this state's memo; component locality of the clean-up strategies makes
+  it exactly equal to a global clean-up (see ``component_local`` there).
 
 One caveat is inherited from the engine's determinism notes: incremental
 ingestion scores a pair in a different numeric batch shape than the batch
@@ -40,17 +41,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Sequence
-from typing import Any
 
 from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
-from repro.core.cleanup import CleanupConfig, CleanupReport
+from repro.core.cleanup import (
+    CleanupConfig,
+    CleanupReport,
+    ComponentCleanup,
+    clean_components,
+)
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
 from repro.core.stages import apply_pre_cleanup, groups_from_components
 from repro.datagen.records import Dataset, Record
 from repro.graphs.graph import Edge, sorted_edges
 from repro.graphs.union_find import DisjointSet
-from repro.incremental.state import ComponentCleanup, MatchState
+from repro.incremental.state import MatchState
 from repro.matching.base import PairwiseMatcher
 from repro.registry import CLEANUPS
 from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler
@@ -501,7 +506,7 @@ class IncrementalMatcher:
 
     def _kept_components(
         self, kept: Sequence[Edge], report: IngestReport
-    ) -> tuple[DisjointSet, list[set[str]]]:
+    ) -> list[set[str]]:
         """Connected components of the kept graph, via the growable DSU.
 
         Fast path: when this ingest only *added* kept edges (the common
@@ -527,79 +532,50 @@ class IncrementalMatcher:
                     dsu.union(u, v)
         state.kept_dsu = dsu
         state.kept_edges = new_kept
-        return dsu, dsu.components()
+        return dsu.components()
 
     def _cleanup(
         self, kept: Sequence[Edge], report: IngestReport
     ) -> tuple[list[set[str]], CleanupReport]:
         """Clean the kept graph, re-running only dirty components.
 
-        Returns the final components in exactly the order a global
-        clean-up + ``connected_components`` pass produces (decreasing size,
-        then smallest member repr) so grouping is byte-identical.
+        The batch clean-up's own driver (:func:`clean_components`) does the
+        splicing, given the DSU's components and the memo; the strategy runs
+        once per component whose edge set is not in the memo.  The output
+        is therefore exactly what the batch pipeline produces.
         """
         state = self.state
         cleanup_fn = CLEANUPS.get(state.cleanup_strategy)
-        aggregate = CleanupReport()
         if not kept:
             state.cleanup_memo = {}
             state.kept_edges = set()
             state.kept_dsu = DisjointSet()
-            return [], aggregate
+            return [], CleanupReport()
 
-        dsu, components = self._kept_components(kept, report)
+        components = self._kept_components(kept, report)
         report.components_total = len(components)
-        aggregate.initial_largest_component = len(components[0])
 
         if not getattr(cleanup_fn, "component_local", False):
             # Unknown strategy: no locality guarantee, no memo — re-clean
             # the whole graph (correct, just not delta-proportional).
             state.cleanup_memo = {}
-            final_components, aggregate = cleanup_fn(
-                list(kept), state.cleanup_config
-            )
             report.components_recleaned = len(components)
-            return final_components, aggregate
+            return cleanup_fn(list(kept), state.cleanup_config)
 
-        edges_by_root: dict[Any, list[Edge]] = {}
-        for edge in kept:
-            edges_by_root.setdefault(dsu.find(edge[0]), []).append(edge)
+        def clean(nodes: set[str], edges: list[Edge]) -> ComponentCleanup:
+            report.components_recleaned += 1
+            subcomponents, sub_report = _component_cleanup(
+                cleanup_fn, sorted_edges(edges), state.cleanup_config
+            )
+            return ComponentCleanup(
+                subcomponents=tuple(frozenset(sub) for sub in subcomponents),
+                removed_edges=frozenset(sub_report.removed_edges),
+                mincut_removals=sub_report.mincut_removals,
+                betweenness_removals=sub_report.betweenness_removals,
+            )
 
-        memo = state.cleanup_memo
-        next_memo: dict[frozenset, ComponentCleanup] = {}
-        final_components: list[frozenset[str]] = []
-        for component in components:
-            root = dsu.find(next(iter(component)))
-            component_edges = edges_by_root.get(root, [])
-            key = frozenset(component_edges)
-            cached = memo.get(key)
-            if cached is None:
-                subcomponents, sub_report = _component_cleanup(
-                    cleanup_fn, sorted_edges(component_edges), state.cleanup_config
-                )
-                cached = ComponentCleanup(
-                    subcomponents=tuple(
-                        frozenset(sub) for sub in subcomponents
-                    ),
-                    removed_edges=frozenset(sub_report.removed_edges),
-                    mincut_removals=sub_report.mincut_removals,
-                    betweenness_removals=sub_report.betweenness_removals,
-                )
-                report.components_recleaned += 1
-            else:
-                report.components_reused += 1
-            next_memo[key] = cached
-            final_components.extend(cached.subcomponents)
-            aggregate.removed_edges.update(cached.removed_edges)
-            aggregate.mincut_removals += cached.mincut_removals
-            aggregate.betweenness_removals += cached.betweenness_removals
-        state.cleanup_memo = next_memo
-
-        # Global ordering: exactly connected_components' comparator, so the
-        # spliced output is indistinguishable from a full-graph clean-up.
-        final_sets = [set(sub) for sub in final_components]
-        final_sets.sort(key=lambda comp: (-len(comp), min(repr(n) for n in comp)))
-        aggregate.final_largest_component = (
-            len(final_sets[0]) if final_sets else 0
+        final_components, aggregate = clean_components(
+            kept, clean, components=components, memo=state.cleanup_memo
         )
-        return final_sets, aggregate
+        report.components_reused = len(components) - report.components_recleaned
+        return final_components, aggregate

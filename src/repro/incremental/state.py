@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.blocking.base import Blocking, CandidatePair
-from repro.core.cleanup import CleanupConfig, CleanupReport
+from repro.core.cleanup import CleanupConfig, CleanupReport, ComponentCleanup
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
 from repro.datagen.records import Dataset, Record
@@ -76,22 +76,6 @@ _STATE_FILES = (
 
 class MatchStateError(RuntimeError):
     """A state directory is missing, incomplete, or of the wrong format."""
-
-
-@dataclass(frozen=True)
-class ComponentCleanup:
-    """Memoised clean-up of one connected component.
-
-    Keyed by the component's exact (frozen) edge set: any change to the
-    component — a new edge, a vanished candidate, a flipped pre-cleanup
-    verdict — changes the key and forces a re-clean, which is what makes
-    memo reuse provably equivalent to a full re-run.
-    """
-
-    subcomponents: tuple[frozenset[str], ...]
-    removed_edges: frozenset[Edge]
-    mincut_removals: int
-    betweenness_removals: int
 
 
 @dataclass

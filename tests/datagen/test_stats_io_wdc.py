@@ -10,7 +10,7 @@ from repro.datagen import (
     generate_wdc_products,
 )
 from repro.datagen.config import GenerationConfig
-from repro.datagen.io import read_dataset_csv, write_dataset_csv
+from repro.datagen.io import DatasetFormatError, read_dataset_csv, write_dataset_csv
 from repro.datagen.records import Dataset
 from repro.datagen.wdc import WdcConfig, WdcProductsGenerator
 
@@ -65,6 +65,62 @@ class TestCsvRoundTrip:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_dataset_csv(Dataset("empty", []), tmp_path / "empty.csv")
+
+
+class TestMalformedCsv:
+    """Bad input gives a located ``DatasetFormatError``, never a traceback
+    from deep inside record construction."""
+
+    @staticmethod
+    def written_lines(small_benchmark, tmp_path):
+        path = write_dataset_csv(small_benchmark.companies, tmp_path / "companies.csv")
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    def test_truncated_row_names_file_line_and_column(self, small_benchmark, tmp_path):
+        path, lines = self.written_lines(small_benchmark, tmp_path)
+        header = lines[0].split(",")
+        # Cut the third data row (file line 4) after its first three fields.
+        lines[3] = ",".join(lines[3].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            read_dataset_csv(path)
+        error = excinfo.value
+        assert isinstance(error, ValueError)
+        assert (error.path, error.line, error.column) == (path, 4, header[3])
+        assert str(error).startswith(f"{path}:4: column {header[3]!r}: missing")
+
+    def test_missing_column_names_the_header(self, tmp_path):
+        path = tmp_path / "no_source.csv"
+        path.write_text(
+            "record_type,record_id,entity_id,name\ncompany,r1,e1,Acme\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetFormatError) as excinfo:
+            read_dataset_csv(path)
+        assert (excinfo.value.line, excinfo.value.column) == (1, "source")
+        assert "missing from the header" in str(excinfo.value)
+
+    def test_unknown_record_type_is_located(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text(
+            "record_type,record_id,source,entity_id\n"
+            "company,r1,S1,e1\n"
+            "planet,r2,S1,e2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetFormatError, match=r"odd\.csv:3: column 'record_type'"):
+            read_dataset_csv(path)
+
+    def test_cli_reports_one_line_and_exits_2(self, small_benchmark, tmp_path, capsys):
+        from repro.cli import main
+
+        path, lines = self.written_lines(small_benchmark, tmp_path)
+        lines[2] = lines[2].split(",")[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: column 'record_id': missing")
+        assert err.count("\n") == 1
 
 
 class TestWdcGenerator:

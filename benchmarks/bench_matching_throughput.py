@@ -1,38 +1,34 @@
-"""Pairwise-matching throughput: the profile-cache hot path.
+"""Pairwise-matching throughput: the columnar profile-store hot path.
 
-Measures the matching layer's prepare-once/score-many optimisation on the
+Measures the matching layer's prepare-once/score-many path on the
 synthetic companies benchmark, in two sections:
 
 * **feature extraction** (single process) — pairs/second of the logistic
-  matcher's feature extraction through three implementations:
+  matcher's feature extraction:
 
   - ``seed``: the historical extractor, re-deriving every normalisation per
     pair with the untrimmed Levenshtein DP (replicated here verbatim as the
     frozen "before" baseline),
-  - ``per_pair``: the current extractor without a profile store (what
-    ``--no-profile-cache`` pays per pair),
-  - ``store rows``: the profile store scored row at a time
-    (``extract_batch_profiles_rows``, the per-pair oracle the columnar
-    path is asserted bitwise-equal against),
-  - ``profile_store``: the columnar hot path — profiles prepared once per
-    record, features as array expressions over the packed columns (what
-    ``--profile-cache`` pays) — preparation time is included.
+  - ``extract_batch``: the record-pair entry point training uses — a
+    profile store prepared over the distinct records of the pairs, then
+    the columnar features (preparation included),
+  - ``profile_store``: the engine's columnar route — the store prepared
+    once over the dataset, features as array expressions over the packed
+    columns (preparation included).
 
 * **run_matching** — end-to-end ``PipelineRuntime.run_matching`` throughput
-  with the trained logistic matcher, profile-cache on/off × columnar
-  dispatch on/off × warm-pool on/off × workers × executor (columnar rows
-  only exist under the profile cache — the array route scores the store).
-  Every row's decisions are asserted **bitwise identical** to the serial
-  profile-cache-on columnar reference (same probabilities, same verdicts):
-  the cache, the dispatch route and the pool mode trade work for speed,
-  never output.  Each row records the effective ``cpu_count`` it ran
-  under, and parallel speedup assertions are skipped (and recorded as
-  skipped) when the box has fewer cores than workers — a 2-worker row on a
-  1-core runner measures engine overhead, not parallelism.
+  with the trained logistic matcher (the columnar route), warm-pool on/off
+  × workers × executor.  Every row's decisions are asserted **bitwise
+  identical** to the serial reference (same probabilities, same verdicts):
+  the pool mode trades work for speed, never output.  Each row records the
+  effective ``cpu_count`` it ran under, and parallel speedup assertions
+  are skipped (and recorded as skipped) when the box has fewer cores than
+  workers — a 2-worker row on a 1-core runner measures engine overhead,
+  not parallelism.
 
 The candidate set is the real blocking output (token-overlap + id-overlap),
 topped up with sliding-window pairs until pairs/records >= 10 — the
-pairs >> records regime the profile subsystem targets.
+pairs >> records regime the profile store targets.
 
 Run as a script::
 
@@ -64,8 +60,8 @@ from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, Dataset, SecurityRecord
 from repro.evaluation import format_table
 from repro.matching import LogisticRegressionMatcher
-from repro.matching.features import PairFeatureExtractor
 from repro.matching.decisions import DecisionVector
+from repro.matching.features import PairFeatureExtractor
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.matching.profiles import ProfileStore
 from repro.obs.resources import effective_cpu_count, peak_rss_bytes
@@ -126,7 +122,7 @@ def _seed_lcs_similarity(a: str, b: str) -> float:
     return longest_common_substring(a, b) / min(len(a), len(b))
 
 
-class SeedPairFeatureExtractor(PairFeatureExtractor):
+class SeedPairFeatureExtractor:
     """The extractor as it stood before the profile subsystem landed.
 
     Re-derives every record-local value for both sides of every pair and
@@ -273,7 +269,7 @@ def train_matcher(dataset: Dataset) -> LogisticRegressionMatcher:
 def measure_extraction(
     dataset: Dataset, candidates: Sequence[CandidatePair], repeats: int
 ) -> tuple[list[dict[str, object]], dict[str, float]]:
-    """Pairs/second of the three extraction implementations, plus speedups."""
+    """Pairs/second of the seed extractor and both columnar entry points."""
     record_pairs = [
         (dataset.record(c.left_id), dataset.record(c.right_id)) for c in candidates
     ]
@@ -292,15 +288,7 @@ def measure_extraction(
     seed_seconds, seed_matrix = best_of(
         lambda: np.stack([seed_extractor.extract(left, right) for left, right in record_pairs])
     )
-    per_pair_seconds, per_pair_matrix = best_of(
-        lambda: current.extract_batch(record_pairs)
-    )
-
-    def profiled_rows() -> np.ndarray:
-        # The row-at-a-time store oracle: same profile store, per-pair
-        # Python scoring — the "before" of the columnar refactor.
-        store = ProfileStore.prepare(dataset.records)
-        return current.extract_batch_profiles_rows(store, id_pairs)
+    batch_seconds, batch_matrix = best_of(lambda: current.extract_batch(record_pairs))
 
     def profiled() -> np.ndarray:
         # Preparation is part of the measured cost: the speedup must hold
@@ -308,15 +296,11 @@ def measure_extraction(
         store = ProfileStore.prepare(dataset.records)
         return current.extract_batch_profiles(store, id_pairs)
 
-    rows_seconds, rows_matrix = best_of(profiled_rows)
     profile_seconds, profile_matrix = best_of(profiled)
 
     # All implementations must agree bitwise before any timing counts.
-    assert np.array_equal(seed_matrix, per_pair_matrix), "per-pair features drifted from seed"
-    assert np.array_equal(seed_matrix, rows_matrix), "store row path drifted from seed"
-    assert np.array_equal(rows_matrix, profile_matrix), (
-        "columnar extraction drifted from the per-pair store oracle"
-    )
+    assert np.array_equal(seed_matrix, batch_matrix), "extract_batch drifted from seed"
+    assert np.array_equal(seed_matrix, profile_matrix), "columnar extraction drifted from seed"
 
     num_pairs = len(candidates)
     rows = [
@@ -331,16 +315,13 @@ def measure_extraction(
         }
         for label, seconds in (
             ("seed (per-pair recompute)", seed_seconds),
-            ("current --no-profile-cache", per_pair_seconds),
-            ("store rows (per-pair oracle)", rows_seconds),
+            ("extract_batch (record pairs, incl. prepare)", batch_seconds),
             ("profile store (columnar, incl. prepare)", profile_seconds),
         )
     ]
     speedups = {
         "profile_store_vs_seed": seed_seconds / profile_seconds,
-        "profile_store_vs_per_pair": per_pair_seconds / profile_seconds,
-        "per_pair_vs_seed": seed_seconds / per_pair_seconds,
-        "columnar_vs_store_rows": rows_seconds / profile_seconds,
+        "extract_batch_vs_seed": seed_seconds / batch_seconds,
     }
     return rows, speedups
 
@@ -354,13 +335,11 @@ def measure_run_matching(
     batch_size: int,
     repeats: int,
 ) -> list[dict[str, object]]:
-    """Throughput rows: profile-cache on/off × columnar dispatch on/off ×
-    warm-pool on/off × workers × executor.
+    """Throughput rows: warm-pool on/off × workers × executor.
 
     Asserts, for every configuration, that its decisions are bitwise
-    identical to the serial profile-cache-on columnar reference —
-    probabilities compared exactly, not approximately — and that the
-    columnar rows actually took the array route (a
+    identical to the serial reference — probabilities compared exactly,
+    not approximately — and that the columnar route ran (a
     :class:`~repro.matching.decisions.DecisionVector` came back).  Each row
     records the effective ``cpu_count`` it ran under: a parallel row
     measured with fewer cores than workers documents overhead, not speedup,
@@ -377,62 +356,45 @@ def measure_run_matching(
             for warm_pool in (True, False):
                 if workers == 1 and not warm_pool:
                     continue  # no pool either way; one serial row is enough
-                for profile_cache in (True, False):
-                    # Columnar dispatch only exists inside the profiled
-                    # route (the array chunks score the profile store), so
-                    # cache-off rows carry a single, moot setting.
-                    columnar_modes = (True, False) if profile_cache else (False,)
-                    for columnar in columnar_modes:
-                        config = RuntimeConfig(
-                            workers=workers, batch_size=batch_size,
-                            executor=executor, profile_cache=profile_cache,
-                            columnar_dispatch=columnar, warm_pool=warm_pool,
-                        )
-                        runtime = PipelineRuntime(config)
-                        try:
-                            best = float("inf")
-                            decisions = None
-                            for _ in range(repeats):
-                                start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                                decisions = runtime.run_matching(
-                                    matcher, dataset, candidates
-                                )
-                                best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                        finally:
-                            runtime.close()
-                        assert isinstance(decisions, DecisionVector) == (
-                            profile_cache and columnar
-                        ), "dispatch route does not match the configuration"
-                        if reference is None:
-                            reference = decisions
-                        assert decisions == reference, (
-                            f"decisions drifted at workers={workers}, "
-                            f"executor={executor}, warm_pool={warm_pool}, "
-                            f"profile_cache={profile_cache}, "
-                            f"columnar_dispatch={columnar}"
-                        )
-                        assert [d.probability for d in decisions] == [
-                            d.probability for d in reference
-                        ], "probabilities drifted from the serial reference"
-                        throughput = len(candidates) / best
-                        if baseline is None:
-                            baseline = throughput
-                        rows.append({
-                            "Workers": workers,
-                            "Executor": executor if workers > 1 else "serial",
-                            "Warm pool": "on" if warm_pool else "off",
-                            "Profile cache": "on" if profile_cache else "off",
-                            "Columnar": ("on" if columnar else "off")
-                            if profile_cache else "n/a",
-                            "Pairs / s": round(throughput, 1),
-                            "Speedup": round(throughput / baseline, 2),
-                            "cpu_count": cpus,
-                            "peak_rss_bytes": peak_rss_bytes(),
-                            # A 2-worker row on a 1-core box measures
-                            # overhead, not parallel speedup — consumers
-                            # must not gate on it.
-                            "speedup_meaningful": workers <= cpus,
-                        })
+                config = RuntimeConfig(
+                    workers=workers, batch_size=batch_size,
+                    executor=executor, warm_pool=warm_pool,
+                )
+                runtime = PipelineRuntime(config)
+                try:
+                    best = float("inf")
+                    decisions = None
+                    for _ in range(repeats):
+                        start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+                        decisions = runtime.run_matching(matcher, dataset, candidates)
+                        best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+                finally:
+                    runtime.close()
+                assert isinstance(decisions, DecisionVector), "columnar route did not run"
+                if reference is None:
+                    reference = decisions
+                assert decisions == reference, (
+                    f"decisions drifted at workers={workers}, "
+                    f"executor={executor}, warm_pool={warm_pool}"
+                )
+                assert [d.probability for d in decisions] == [
+                    d.probability for d in reference
+                ], "probabilities drifted from the serial reference"
+                throughput = len(candidates) / best
+                if baseline is None:
+                    baseline = throughput
+                rows.append({
+                    "Workers": workers,
+                    "Executor": executor if workers > 1 else "serial",
+                    "Warm pool": "on" if warm_pool else "off",
+                    "Pairs / s": round(throughput, 1),
+                    "Speedup": round(throughput / baseline, 2),
+                    "cpu_count": cpus,
+                    "peak_rss_bytes": peak_rss_bytes(),
+                    # A 2-worker row on a 1-core box measures overhead, not
+                    # parallel speedup — consumers must not gate on it.
+                    "speedup_meaningful": workers <= cpus,
+                })
     return rows
 
 
@@ -477,9 +439,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     print(format_table(extraction_rows, title="Feature extraction — single process"))
-    print(format_table(matching_rows, title="run_matching — warm pool / profile cache"))
-    print(f"profile store speedup: {speedups['profile_store_vs_seed']:.2f}x vs seed, "
-          f"{speedups['profile_store_vs_per_pair']:.2f}x vs --no-profile-cache")
+    print(format_table(matching_rows, title="run_matching — columnar route, warm / cold pool"))
+    print(f"profile store speedup: {speedups['profile_store_vs_seed']:.2f}x vs seed; "
+          f"extract_batch: {speedups['extract_batch_vs_seed']:.2f}x vs seed")
     print("determinism: every configuration == serial reference, bitwise — OK")
 
     # Parallel speedup is only a meaningful claim when the box actually has
@@ -487,9 +449,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # overhead and the assertion is recorded as skipped instead of failed.
     speedup_checks: list[dict[str, object]] = []
     for row in matching_rows:
-        if row["Workers"] == 1 or row["Warm pool"] != "on" or row["Profile cache"] != "on":
-            continue
-        if row["Columnar"] != "on":
+        if row["Workers"] == 1 or row["Warm pool"] != "on":
             continue  # one parallel check per workers × executor point
         check = {
             "workers": row["Workers"],
@@ -512,19 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             check["status"] = "asserted >= 1.0x"
         speedup_checks.append(check)
 
-    def serial_row(columnar: str) -> dict[str, object]:
-        return next(
-            row for row in matching_rows
-            if row["Workers"] == 1 and row["Profile cache"] == "on"
-            and row["Columnar"] == columnar
-        )
-
-    route_speedup = (
-        serial_row("on")["Pairs / s"] / serial_row("off")["Pairs / s"]
-    )
-    print(f"columnar dispatch: {route_speedup:.2f}x vs the serial object route "
-          f"({serial_row('on')['Pairs / s']:.0f} vs "
-          f"{serial_row('off')['Pairs / s']:.0f} pairs/s)")
+    serial_row = next(row for row in matching_rows if row["Workers"] == 1)
 
     if not args.quick:
         assert ratio >= 10.0, f"candidate set too thin: pairs/records = {ratio:.1f}"
@@ -532,10 +480,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "profile-store extraction fell below the pinned 3x speedup: "
             f"{speedups['profile_store_vs_seed']:.2f}x"
         )
-        # The columnar-dispatch tentpole's floor: serial end-to-end
-        # run_matching at >= 3x the pre-profile-subsystem 35.0k pairs/s
-        # baseline (the first recorded BENCH_matching.json serial row).
-        serial_throughput = serial_row("on")["Pairs / s"]
+        # Serial end-to-end run_matching at >= 3x the pre-profile-subsystem
+        # 35.0k pairs/s baseline (the first recorded BENCH_matching.json
+        # serial row).
+        serial_throughput = serial_row["Pairs / s"]
         assert serial_throughput >= 3.0 * _SEED_SERIAL_PAIRS_PER_S, (
             "serial columnar run_matching fell below 3x the seed baseline: "
             f"{serial_throughput:.0f} pairs/s vs "
@@ -564,7 +512,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "run_matching": {
             "rows": matching_rows,
             "parallel_speedup_checks": speedup_checks,
-            "columnar_vs_object_serial": round(route_speedup, 3),
             "seed_serial_pairs_per_s": _SEED_SERIAL_PAIRS_PER_S,
         },
         "determinism": {"all_configs_equal_serial_bitwise": True},

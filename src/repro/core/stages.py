@@ -57,9 +57,9 @@ class PipelineContext:
     profiler: StageProfiler
 
     candidates: list[CandidatePair] = field(default_factory=list)
-    #: ``list[MatchDecision]`` on the object routes, a lazy
-    #: :class:`~repro.matching.decisions.DecisionVector` under columnar
-    #: dispatch — element-wise identical either way.
+    #: ``list[MatchDecision]`` on the record-pair route, a lazy
+    #: :class:`~repro.matching.decisions.DecisionVector` on the columnar
+    #: route — element-wise identical either way.
     decisions: Sequence[MatchDecision] = field(default_factory=list)
     positive_edges: list[Edge] = field(default_factory=list)
     edge_blockings: dict[tuple[str, str], str] = field(default_factory=dict)

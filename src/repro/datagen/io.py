@@ -39,13 +39,15 @@ _REQUIRED_COLUMNS = ("record_type",) + tuple(
 
 
 class DatasetFormatError(ValueError):
-    """A dataset CSV that cannot be read, located by file, line and column."""
+    """A dataset CSV that cannot be read, located by file, line and column
+    (``column`` is ``None`` for problems of the file as a whole)."""
 
-    def __init__(self, path: Path, line: int, column: str, problem: str) -> None:
+    def __init__(self, path: Path, line: int, column: str | None, problem: str) -> None:
         self.path = path
         self.line = line
         self.column = column
-        super().__init__(f"{path}:{line}: column {column!r}: {problem}")
+        where = f"{path}:{line}: " if column is None else f"{path}:{line}: column {column!r}: "
+        super().__init__(where + problem)
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> Path:
@@ -86,11 +88,14 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
     """Read a dataset previously written by :func:`write_dataset_csv`.
 
     Raises :class:`DatasetFormatError` naming the file, line and column when
-    the header lacks a required column, a row is truncated, or a row names
-    an unknown record type.
+    the header lacks a required column, a row is truncated, a row names an
+    unknown record type or repeats an earlier row's ``record_id`` (records
+    are keyed by id everywhere downstream), and naming the file when it
+    holds no records at all.
     """
     path = Path(path)
     records: list[Record] = []
+    first_line: dict[str, int] = {}
     with path.open("r", newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
@@ -114,7 +119,18 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
                 raise DatasetFormatError(
                     path, reader.line_num, "record_type", f"unknown type {record_type!r}"
                 )
+            record_id = row["record_id"]
+            if record_id in first_line:
+                raise DatasetFormatError(
+                    path,
+                    reader.line_num,
+                    "record_id",
+                    f"duplicate id {record_id!r} (first on line {first_line[record_id]})",
+                )
+            first_line[record_id] = reader.line_num
             records.append(_row_to_record(record_class, row))
+    if not records:
+        raise DatasetFormatError(path, 1, None, "no records (the file has no data rows)")
     return Dataset(name or path.stem, records)
 
 

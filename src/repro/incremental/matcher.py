@@ -482,14 +482,12 @@ class IncrementalMatcher:
         """Grow the persistent profile store to cover the pairs to score.
 
         Returns the store to pass to the engine, or ``None`` when the
-        matcher runs unprofiled (the engine then resolves record pairs
+        matcher is not columnar (the engine then resolves record pairs
         directly).  Stores that cannot append (no ``add_records``) are not
         persisted — the engine prepares a fresh per-call store instead.
         """
         state = self.state
-        if not (
-            self.runtime.config.profile_cache and state.matcher.profile_capable
-        ):
+        if not state.matcher.columnar_capable:
             return None
         referenced: dict[str, None] = {}
         for candidate in new_pairs:

@@ -49,7 +49,7 @@ RecordPair = tuple[Record, Record]
 
 
 #: An unordered pair referenced by record id — the task payload of the
-#: profiled inference path (the records themselves live in the profile
+#: columnar inference route (the records themselves live in the profile
 #: store, shipped to each worker once).
 IdPair = tuple[str, str]
 
@@ -57,45 +57,39 @@ IdPair = tuple[str, str]
 class PairwiseMatcher(ABC):
     """Binary Match / NoMatch classifier over record pairs.
 
-    Besides the record-pair entry points, a matcher may opt into the
-    *profiled* two-phase protocol (``profile_capable = True``), the matching
-    analogue of the blocking layer's shardable protocol:
+    The execution engine runs a matcher along one of two routes, selected by
+    the one capability flag ``columnar_capable``:
 
-    1. :meth:`prepare_profiles` derives per-record state from the dataset
-       once (for the feature-based matchers: a
-       :class:`~repro.matching.profiles.ProfileStore`).  Runs in the parent
-       process; the result must be picklable.
-    2. :meth:`decide_profiled` scores chunks of bare ``(left_id, right_id)``
-       pairs against that state, embarrassingly parallel across chunks.
+    * **record pairs** (the default) — chunks of ``(left, right)`` records
+      go through :meth:`decide_batches`;
+    * **columnar** (``columnar_capable = True``) — a two-phase protocol, the
+      matching analogue of the blocking layer's shardable protocol:
+
+      1. :meth:`prepare_profiles` derives per-record state once (for the
+         feature-based matchers: a
+         :class:`~repro.matching.profiles.ProfileStore`).  Runs in the
+         parent process; the result must be picklable.
+      2. :meth:`score_profiled` scores chunks of bare
+         ``(left_id, right_id)`` pairs against that state and returns the
+         probability vector as one float64 array; the engine wraps the
+         concatenated vectors in a lazy
+         :class:`~repro.matching.decisions.DecisionVector`.
 
     The contract: for any chunking of the candidate list,
-    ``decide_profiled(prepare_profiles(dataset), ids)`` must equal
-    ``decide(pairs)`` on the corresponding record pairs **byte for byte**
-    (same probabilities, same verdicts) — profiles precompute record-local
-    work, they never change it.
-
-    Profiled matchers whose phase-2 scoring is vectorised over the columnar
-    :class:`~repro.matching.profiles.ProfileStore` additionally set
-    ``columnar_capable = True`` and implement :meth:`score_profiled`, the
-    array-in/array-out core :meth:`decide_profiled` is a thin wrapper over.
-    The execution engine's columnar dispatch route sends chunks straight to
-    :meth:`score_profiled` and wraps the probability arrays in a lazy
-    :class:`~repro.matching.decisions.DecisionVector` — which is why the
-    columnar protocol only exists *inside* the profiled one: the flag and
-    the method come as a pair, and ``columnar_capable = True`` presupposes
-    ``profile_capable = True``.  The protocol-conformance lint rule enforces
-    both couplings.
+    ``score_profiled(prepare_profiles(records), ids)`` holds bitwise the
+    probabilities :meth:`predict_proba` gives on the corresponding record
+    pairs — profiles precompute record-local work, they never change it.
+    The protocol-conformance lint rule checks that the flag and both
+    methods are declared together.
     """
 
     #: Decision threshold applied to the match probability.
     threshold: float = 0.5
 
-    #: Whether this matcher implements the profiled two-phase protocol.
-    profile_capable: bool = False
-
-    #: Whether phase 2 is vectorised over the columnar store:
-    #: ``score_profiled`` returns the probability vector as one float64
-    #: array, with no per-pair Python in the scoring loop.
+    #: Whether this matcher implements the columnar two-phase protocol:
+    #: ``prepare_profiles`` + ``score_profiled``, returning the probability
+    #: vector as one float64 array with no per-pair Python in the scoring
+    #: loop.
     columnar_capable: bool = False
 
     @abstractmethod
@@ -136,54 +130,32 @@ class PairwiseMatcher(ABC):
         """
         return [self.decide(batch) for batch in batches]
 
-    # -- profiled inference (opt-in) --------------------------------------------
+    # -- columnar inference (opt-in) --------------------------------------------
 
     def prepare_profiles(self, records: Iterable[Record]) -> Any:
-        """Phase 1 of the profiled protocol: per-record state, built once.
+        """Phase 1 of the columnar protocol: per-record state, built once.
 
         Runs in the parent process; the returned object is shipped to every
-        worker (for process pools: once per worker, via the pool
-        initializer) and must be picklable.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support profiled inference "
-            "(profile_capable=False)"
-        )
-
-    def decide_profiled(
-        self, profiles: Any, id_pairs: Sequence[IdPair]
-    ) -> list[MatchDecision]:
-        """Phase 2: decisions for one chunk of id pairs, from profiles only."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support profiled inference "
-            "(profile_capable=False)"
-        )
-
-    def score_profiled(self, profiles: Any, id_pairs: Sequence[IdPair]) -> np.ndarray:
-        """Columnar phase 2: the probability vector for one chunk of id pairs.
-
-        Returns a float64 array of length ``len(id_pairs)`` whose values are
-        bitwise those :meth:`decide_profiled` would attach to its decisions
-        — the columnar path changes where the arithmetic runs (array
-        expressions over the store's columns), never what it computes.
+        worker out of band (never per chunk) and must be picklable.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support columnar scoring "
             "(columnar_capable=False)"
         )
 
-    def decide_profiled_batches(
-        self, profiles: Any, batches: Sequence[Sequence[IdPair]]
-    ) -> list[list[MatchDecision]]:
-        """Batched entry point of the profiled path.
+    def score_profiled(self, profiles: Any, id_pairs: Sequence[IdPair]) -> np.ndarray:
+        """Phase 2: the probability vector for one chunk of id pairs.
 
-        One :meth:`decide_profiled` call per batch, mirroring
-        :meth:`decide_batches` — the numeric batch shape a vectorised
-        matcher sees stays exactly the chunking the engine chose, which is
-        what keeps profiled and record-pair inference bit-identical at any
-        worker count.
+        Returns a float64 array of length ``len(id_pairs)`` whose values are
+        bitwise those :meth:`predict_proba` gives on the corresponding
+        record pairs — the columnar route changes where the arithmetic runs
+        (array expressions over the store's columns), never what it
+        computes.
         """
-        return [self.decide_profiled(profiles, batch) for batch in batches]
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support columnar scoring "
+            "(columnar_capable=False)"
+        )
 
     def score_pairs(self, pairs: Sequence[RecordPair]) -> list[ScoredPair]:
         """Return scored pairs without applying the threshold."""

@@ -1,12 +1,12 @@
-"""Array-backed decision containers for the columnar matching path.
+"""Array-backed decision containers for the columnar matching route.
 
-The execution engine's columnar dispatch route (``columnar_dispatch`` on a
-:class:`~repro.runtime.config.RuntimeConfig`) keeps the matcher's
+The execution engine's columnar route (matchers with
+``columnar_capable = True``) keeps the matcher's
 :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` output columnar
 all the way to the API boundary: chunk tasks return float64 probability
 arrays, and the engine wraps the concatenated result in a
 :class:`DecisionVector` — a lazy sequence that *behaves* like the
-``list[MatchDecision]`` the object route returns but only materialises
+``list[MatchDecision]`` the record-pair route returns but only materialises
 :class:`~repro.matching.base.MatchDecision` objects where a consumer
 actually indexes or iterates.  Stage-internal consumers never do: the
 pre-cleanup stage reads the kept-edge mask straight off the probability
@@ -18,12 +18,11 @@ by the same parallel arrays instead of a dict of decision objects.  A delta
 ingest appends the newly scored arrays and gathers the candidate-order
 :class:`DecisionVector` by row index — no per-pair objects on either side.
 
-Bitwise contract (pinned by the golden columnar suite): a vector's
-materialised decisions equal the object route's byte for byte.  The
-argument is mechanical — ``decide_profiled`` builds each decision as
-``probability=float(scores[i])`` / ``is_match = probability >= threshold``
-from the very array ``score_profiled`` returns, and the vector applies the
-identical conversions lazily.
+Bitwise contract: a vector's materialised decisions equal
+:meth:`~repro.matching.base.PairwiseMatcher.decide` on the record pairs
+byte for byte — each decision is built as
+``probability=float(scores[i])`` / ``is_match = probability >= threshold``,
+the conversions ``decide`` applies to :meth:`predict_proba`'s floats.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class DecisionVector(Sequence):
     the boolean verdict mask; ``vector[i]`` / iteration materialise
     equivalent :class:`MatchDecision` objects on demand.  Equality compares
     element-wise against any other decision sequence (vector or list), so
-    golden suites can diff the columnar and object routes directly.
+    golden suites can diff the columnar and record-pair routes directly.
     """
 
     __slots__ = ("pairs", "probabilities", "threshold", "_mask")
@@ -174,7 +173,7 @@ class DecisionCache:
         """Append newly scored decisions (aligned with their cache keys).
 
         Accepts the columnar engine's :class:`DecisionVector` (arrays are
-        adopted directly) or a plain decision list from the object route.
+        adopted directly) or a plain decision list from the record-pair route.
         """
         if isinstance(scored, DecisionVector):
             pairs = scored.pairs

@@ -1,35 +1,32 @@
 """Similarity features for the classical (feature-based) matcher.
 
-The feature extractor turns a record pair into a fixed-length numpy vector
-of string / set / identifier similarities.  It powers the
+The feature extractor turns record pairs into fixed-length numpy vectors of
+string / set / identifier similarities.  It powers the
 :class:`~repro.matching.logistic.LogisticRegressionMatcher`, which plays the
 role of a strong non-neural baseline and is also much faster than the
 attention model — handy for large candidate sets.
 
-Extraction is factored through per-record feature profiles
-(:mod:`repro.matching.profiles`): all record-local derivations (text
-normalisation, tokenisation, identifier canonicalisation) live in
-:func:`~repro.matching.profiles.build_profile`, and the pair features score
-two profiles.  :meth:`PairFeatureExtractor.extract` builds both profiles on
-the spot (the classic pairwise-recompute behaviour, byte for byte), while
-:meth:`PairFeatureExtractor.extract_batch_profiles` scores id pairs against
-a prepared :class:`~repro.matching.profiles.ProfileStore` — the
-prepare-once/score-many hot path of the execution engine.
+There is one implementation of the features: the columnar one over a
+:class:`~repro.matching.profiles.ProfileStore`.  All record-local
+derivations (text normalisation, tokenisation, identifier canonicalisation)
+run once per record when the store is prepared, and
+:meth:`PairFeatureExtractor.extract_batch_profiles` computes every
+``FEATURE_NAMES`` column as array ops over row-index pairs: set-overlap
+features as sorted-id intersection counts over the store's CSR columns,
+attribute agreements as interned-id equality, and the string similarities
+as batched kernels (:mod:`repro.text.batch_similarity`) over the
+*deduplicated* unique string pairs, gathered back per pair through the
+store's similarity memo caches.  :meth:`PairFeatureExtractor.extract_batch`
+— the record-pair entry point training and record-pair inference use —
+prepares a store over the distinct records of its pairs and goes through
+the same columnar path.
 
-Since the columnar refactor the store path is vectorised: every
-``FEATURE_NAMES`` column is computed as array ops over row-index pairs.
-Set-overlap features run as sorted-id intersection counts over the store's
-CSR columns, attribute agreements as interned-id equality, and the string
-similarities as batched kernels (:mod:`repro.text.batch_similarity`) over
-the *deduplicated* unique string pairs, gathered back per pair through the
-store's similarity memo caches.  The byte-identity contract carries over
-from the row path: every column replays the same float64 operations on the
-same values as the scalar extraction (int→float divisions of exact counts,
+Every column replays the same float64 operations on the same values as a
+per-pair recompute from the records (int→float divisions of exact counts,
 kernels bitwise-equal to their scalar forms), so the matrix is bitwise
-identical to :meth:`PairFeatureExtractor.extract_batch_profiles_rows` — the
-retained per-pair reference implementation — which is itself bitwise
-identical to per-pair recompute.  Hypothesis-pinned in
-``tests/matching/test_profiles.py``.
+identical to it.  The per-pair oracle lives with the tests
+(``tests/matching/reference_features.py``) and hypothesis pins the
+equality.
 """
 
 from __future__ import annotations
@@ -45,8 +42,6 @@ from repro.matching.profiles import (
     KIND_SECURITY,
     IdSetColumn,
     ProfileStore,
-    RecordProfile,
-    build_profile,
     sorted_intersection_counts,
 )
 from repro.text.batch_similarity import (
@@ -57,16 +52,16 @@ from repro.text.batch_similarity import (
     longest_common_substring_similarity_packed,
     pack_codepoints,
 )
-from repro.text.similarity import (
-    jaccard_similarity,
-    jaro_winkler_similarity,
-    levenshtein_similarity,
-    longest_common_substring_similarity,
-    overlap_coefficient,
-)
 
 _COMPANY_CODE = KIND_NAMES.index(KIND_COMPANY)
 _SECURITY_CODE = KIND_NAMES.index(KIND_SECURITY)
+
+#: Pairs per :meth:`PairFeatureExtractor.extract_batch_profiles` call in
+#: :meth:`PairFeatureExtractor.extract_batch`.  The batched string kernels
+#: build per-pair equality tables (pairs × width²), so a whole training set
+#: runs in blocks of this many pairs to bound peak memory.  Every feature
+#: is pair-local, so the blocking cannot change a value.
+EXTRACTION_BLOCK = 512
 
 
 # -- columnar building blocks -------------------------------------------------
@@ -163,11 +158,12 @@ def gather_pair_similarities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair (name jw, name lev, name lcs, stripped jw) in one sweep.
 
-    Semantically :func:`gather_name_similarities` +
-    :func:`gather_stripped_similarities` (same caches, same keys, same
-    values), but the two Jaro–Winkler kernel invocations are fused into one
-    packed batch over the union of cache-missing pairs — per-DP-step fixed
-    costs are paid once instead of twice on the extraction hot path.
+    The name block (Jaro–Winkler, Levenshtein, LCS) and the stripped-name
+    Jaro–Winkler share the store's memo caches with
+    :func:`gather_stripped_similarities` (same keys, same values); the two
+    Jaro–Winkler kernel invocations are fused into one packed batch over the
+    union of cache-missing pairs, so per-DP-step fixed costs are paid once
+    instead of twice on the extraction hot path.
     """
     strings = store.strings
 
@@ -269,51 +265,6 @@ def gather_pair_similarities(
         name_lcs[name_inverse],
         stripped_jw[stripped_inverse],
     )
-
-
-def gather_name_similarities(
-    store: ProfileStore, left_rows: np.ndarray, right_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair (jaro_winkler, levenshtein, lcs) over normalised names.
-
-    Deduplicates the string pairs, serves hits from the store's
-    ``name_similarity_cache`` (same keys and values as the row path — the
-    caches are shared), computes misses with the batched kernels (bitwise
-    equal to the scalar functions) and memoises them back.
-    """
-    unique_left, unique_right, inverse = _unique_id_pairs(
-        store.name_ids[left_rows], store.name_ids[right_rows]
-    )
-    strings = store.strings
-    cache = store.name_similarity_cache
-    count = len(unique_left)
-    jaro_winkler = np.empty(count, dtype=np.float64)
-    levenshtein = np.empty(count, dtype=np.float64)
-    lcs = np.empty(count, dtype=np.float64)
-    missing: list[int] = []
-    for index in range(count):
-        key = (strings[unique_left[index]], strings[unique_right[index]])
-        sims = cache.get(key)
-        if sims is None:
-            missing.append(index)
-        else:
-            jaro_winkler[index], levenshtein[index], lcs[index] = sims
-    store.sim_cache_misses += len(missing)
-    store.sim_cache_hits += count - len(missing)
-    if missing:
-        packed = _pack_missing_pairs(strings, unique_left, unique_right, missing)
-        jw_new = jaro_winkler_similarity_packed(
-            *packed[:5], a_ids=packed[5], b_ids=packed[6]
-        )
-        lev_new = levenshtein_similarity_packed(
-            *packed[:5], a_ids=packed[5], b_ids=packed[6]
-        )
-        lcs_new = longest_common_substring_similarity_packed(*packed[:5])
-        for slot, index in enumerate(missing):
-            values = (float(jw_new[slot]), float(lev_new[slot]), float(lcs_new[slot]))
-            cache[(strings[unique_left[index]], strings[unique_right[index]])] = values
-            jaro_winkler[index], levenshtein[index], lcs[index] = values
-    return jaro_winkler[inverse], levenshtein[inverse], lcs[inverse]
 
 
 def gather_stripped_similarities(
@@ -428,32 +379,37 @@ class PairFeatureExtractor:
         """Profile every record once (see :meth:`ProfileStore.prepare`)."""
         return ProfileStore.prepare(records)
 
-    # -- single pair -----------------------------------------------------------
-
-    def extract(self, left: Record, right: Record) -> np.ndarray:
-        """Return the feature vector for one pair (profiles built on the spot)."""
-        return np.asarray(
-            self._pair_values(build_profile(left), build_profile(right)),
-            dtype=np.float64,
-        )
-
-    def extract_profiled(self, left: RecordProfile, right: RecordProfile) -> np.ndarray:
-        """Feature vector for one pair of precomputed profiles."""
-        return np.asarray(self._pair_values(left, right), dtype=np.float64)
+    # -- extraction ---------------------------------------------------------------
 
     def extract_batch(self, pairs: Sequence[tuple[Record, Record]]) -> np.ndarray:
         """Feature matrix (num_pairs, num_features) for a record-pair sequence.
 
-        Rows go through :meth:`extract`, so a subclass that overrides the
-        per-pair extraction changes the batched path too; the matrix is
-        preallocated and filled row by row (less allocator churn than
-        stacking per-pair arrays).
+        Prepares a :class:`ProfileStore` over the distinct records of
+        ``pairs`` (in first-seen order) and scores the pairs through
+        :meth:`extract_batch_profiles`, :data:`EXTRACTION_BLOCK` pairs at a
+        time.  The store keys records by id, so two *different* records
+        sharing an id raise ``ValueError`` rather than silently scoring one
+        in place of the other.
         """
-        if not pairs:
-            return np.zeros((0, self.num_features), dtype=np.float64)
+        records: dict[str, Record] = {}
+        for pair in pairs:
+            for record in pair:
+                seen = records.setdefault(record.record_id, record)
+                if seen is not record and seen != record:
+                    raise ValueError(
+                        f"two different records share the id {record.record_id!r}"
+                    )
+        store = self.prepare(records.values())
         matrix = np.empty((len(pairs), self.num_features), dtype=np.float64)
-        for row, (left, right) in enumerate(pairs):
-            matrix[row] = self.extract(left, right)
+        for start in range(0, len(pairs), EXTRACTION_BLOCK):
+            block = pairs[start:start + EXTRACTION_BLOCK]
+            matrix[start:start + len(block)] = self.extract_batch_profiles(
+                store, [(left.record_id, right.record_id) for left, right in block]
+            )
+            # The store dies with this call, so its similarity memos would
+            # only hold resident memory past the block that filled them.
+            store.name_similarity_cache.clear()
+            store.stripped_similarity_cache.clear()
         return matrix
 
     def extract_batch_profiles(
@@ -461,11 +417,11 @@ class PairFeatureExtractor:
     ) -> np.ndarray:
         """Feature matrix for id pairs, vectorised over the columnar store.
 
-        The hot path of the execution engine's profiled inference: each
+        The hot path of the execution engine's columnar route: each
         feature column is one array expression over the row-index pairs, and
         only the deduplicated distinct string pairs touch Python-level
-        string code (inside the batched kernels).  Bitwise identical to
-        :meth:`extract_batch_profiles_rows` — dtype float64 throughout, the
+        string code (inside the batched kernels).  Bitwise identical to a
+        per-pair recompute from the records — dtype float64 throughout, the
         same left-to-right scalar operations per value — which the golden
         suites and a hypothesis test pin.
         """
@@ -486,7 +442,7 @@ class PairFeatureExtractor:
         description_shared, description_left, description_right = _set_features(
             profiles.description_token_sets, left_rows, right_rows
         )
-        # Gated on both token sets nonempty (matching the row path), else 0.
+        # Gated on both token sets nonempty, else 0.
         description_jaccard = np.zeros(len(left_rows), dtype=np.float64)
         both_described = (description_left > 0) & (description_right > 0)
         description_union = (
@@ -545,9 +501,9 @@ class PairFeatureExtractor:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar (overlap count, conflict count, ISIN overlap flag).
 
-        Same-kind gating mirrors :meth:`_identifier_features`: securities
-        compare field-aligned identifier ids (0 == missing skips the field),
-        companies intersect their ISIN id sets; mixed pairs stay neutral.
+        Same-kind gating: securities compare field-aligned identifier ids
+        (0 == missing skips the field), companies intersect their ISIN id
+        sets; mixed pairs stay neutral.
         """
         count = len(left_rows)
         overlaps = np.zeros(count, dtype=np.int64)
@@ -584,141 +540,5 @@ class PairFeatureExtractor:
                 (sizes_left > 0) & (sizes_right > 0) & (shared == 0)
             ).astype(np.int64)
             isin_overlap[company_pairs] = (shared > 0).astype(np.float64)
-
-        return overlaps, conflicts, isin_overlap
-
-    def extract_batch_profiles_rows(
-        self, profiles: ProfileStore, id_pairs: Sequence[tuple[str, str]]
-    ) -> np.ndarray:
-        """Row-at-a-time reference implementation of the store path.
-
-        Scores each pair through :meth:`_pair_values` on materialised
-        profiles — the pre-columnar hot path, kept as the bitwise oracle the
-        vectorised :meth:`extract_batch_profiles` is benched and tested
-        against.
-        """
-        if not id_pairs:
-            return np.zeros((0, self.num_features), dtype=np.float64)
-        matrix = np.empty((len(id_pairs), self.num_features), dtype=np.float64)
-        for row, (left_id, right_id) in enumerate(id_pairs):
-            matrix[row] = self._pair_values(
-                profiles.get(left_id), profiles.get(right_id), store=profiles
-            )
-        return matrix
-
-    # -- scoring -------------------------------------------------------------------
-
-    def _pair_values(
-        self,
-        left: RecordProfile,
-        right: RecordProfile,
-        store: ProfileStore | None = None,
-    ) -> tuple[float, ...]:
-        """The feature tuple for one profile pair.
-
-        Every value is computed by the same similarity call on the same
-        derived strings/sets as the historical per-pair extraction, keeping
-        results byte-identical.
-
-        With a ``store``, the name-similarity block is memoised per distinct
-        string pair in the store's similarity caches — records repeating a
-        name across sources then pay the quadratic string comparisons once,
-        not once per candidate pair.  Memoisation of a pure function cannot
-        change a value.
-        """
-        if store is None:
-            name_jw = jaro_winkler_similarity(left.name_norm, right.name_norm)
-            name_lev = levenshtein_similarity(left.name_norm, right.name_norm)
-            name_lcs = longest_common_substring_similarity(
-                left.name_norm, right.name_norm
-            )
-            stripped_jw = jaro_winkler_similarity(left.stripped_name, right.stripped_name)
-        else:
-            name_key = (left.name_norm, right.name_norm)
-            name_sims = store.name_similarity_cache.get(name_key)
-            if name_sims is None:
-                name_sims = (
-                    jaro_winkler_similarity(left.name_norm, right.name_norm),
-                    levenshtein_similarity(left.name_norm, right.name_norm),
-                    longest_common_substring_similarity(
-                        left.name_norm, right.name_norm
-                    ),
-                )
-                store.name_similarity_cache[name_key] = name_sims
-                store.sim_cache_misses += 1
-            else:
-                store.sim_cache_hits += 1
-            name_jw, name_lev, name_lcs = name_sims
-            stripped_key = (left.stripped_name, right.stripped_name)
-            stripped_jw = store.stripped_similarity_cache.get(stripped_key)
-            if stripped_jw is None:
-                stripped_jw = jaro_winkler_similarity(*stripped_key)
-                store.stripped_similarity_cache[stripped_key] = stripped_jw
-                store.sim_cache_misses += 1
-            else:
-                store.sim_cache_hits += 1
-        identifier_overlaps, identifier_conflicts, isin_overlap = (
-            self._identifier_features(left, right)
-        )
-        return (
-            name_jw,
-            name_lev,
-            jaccard_similarity(left.name_token_set, right.name_token_set),
-            overlap_coefficient(left.name_token_set, right.name_token_set),
-            name_lcs,
-            stripped_jw,
-            jaccard_similarity(left.stripped_token_set, right.stripped_token_set),
-            jaccard_similarity(left.description_token_set, right.description_token_set)
-            if left.description_token_set and right.description_token_set
-            else 0.0,
-            1.0 if left.has_description and right.has_description else 0.0,
-            self._equality_feature(left.city, right.city),
-            self._equality_feature(left.region, right.region),
-            self._equality_feature(left.country_code, right.country_code),
-            self._equality_feature(left.industry, right.industry),
-            self._equality_feature(left.security_type, right.security_type),
-            float(identifier_overlaps),
-            float(identifier_conflicts),
-            isin_overlap,
-            self._equality_feature(left.ticker, right.ticker),
-            1.0 if left.source == right.source else 0.0,
-        )
-
-    # -- helpers -------------------------------------------------------------------
-
-    @staticmethod
-    def _equality_feature(left_value: str, right_value: str) -> float:
-        """1 if both present and equal (normalised), 0.5 if either missing."""
-        if not left_value or not right_value:
-            return 0.5
-        return 1.0 if left_value == right_value else 0.0
-
-    @staticmethod
-    def _identifier_features(
-        left: RecordProfile, right: RecordProfile
-    ) -> tuple[int, int, float]:
-        """(overlap count, conflict count, company-ISIN overlap flag)."""
-        overlaps = 0
-        conflicts = 0
-        isin_overlap = 0.0
-
-        if left.kind == KIND_SECURITY and right.kind == KIND_SECURITY:
-            for left_value, right_value in zip(
-                left.security_identifiers, right.security_identifiers
-            ):
-                if not left_value or not right_value:
-                    continue
-                if left_value == right_value:
-                    overlaps += 1
-                else:
-                    conflicts += 1
-            isin_overlap = 1.0 if overlaps else 0.0
-
-        if left.kind == KIND_COMPANY and right.kind == KIND_COMPANY:
-            shared = left.isin_set & right.isin_set
-            overlaps = len(shared)
-            if left.isin_set and right.isin_set and not shared:
-                conflicts = 1
-            isin_overlap = 1.0 if shared else 0.0
 
         return overlaps, conflicts, isin_overlap

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datagen.identifiers import identifier_overlap
 from repro.datagen.records import CompanyRecord, Record, SecurityRecord
-from repro.matching.base import IdPair, MatchDecision, PairwiseMatcher, RecordPair
+from repro.matching.base import IdPair, PairwiseMatcher, RecordPair
 from repro.matching.features import gather_stripped_similarities
 from repro.matching.profiles import ProfileStore, record_name
 from repro.text.normalize import normalize_identifier, strip_corporate_terms
@@ -57,11 +57,8 @@ class IdOverlapMatcher(PairwiseMatcher):
 class ThresholdNameMatcher(PairwiseMatcher):
     """Match records whose names exceed a Jaro–Winkler similarity threshold."""
 
-    #: Stripped names are per-record state, so a profile store carries them —
-    #: pairs then only pay the Jaro–Winkler comparison.
-    profile_capable = True
-
-    #: Profiled scoring runs the batched Jaro–Winkler kernel over the
+    #: Stripped names are per-record state, so a profile store carries them;
+    #: columnar scoring runs the batched Jaro–Winkler kernel over the
     #: store's interned stripped-name ids — one array sweep per chunk.
     columnar_capable = True
 
@@ -73,7 +70,7 @@ class ThresholdNameMatcher(PairwiseMatcher):
 
     def predict_proba(self, pairs: Sequence[RecordPair]) -> list[float]:
         # record_name is the same lookup profiles are built from, so the
-        # profiled path below cannot drift from this one.
+        # columnar path below cannot drift from this one.
         probabilities = []
         for left, right in pairs:
             similarity = jaro_winkler_similarity(
@@ -86,7 +83,7 @@ class ThresholdNameMatcher(PairwiseMatcher):
     def _probability(self, similarity: float) -> float:
         return 1.0 if similarity >= self.similarity_threshold else similarity
 
-    # -- profiled inference -------------------------------------------------------
+    # -- columnar inference -------------------------------------------------------
 
     def prepare_profiles(self, records: Iterable[Record]) -> ProfileStore:
         return ProfileStore.prepare(records)
@@ -103,17 +100,3 @@ class ThresholdNameMatcher(PairwiseMatcher):
         left_rows, right_rows = profiles.row_indices(id_pairs)
         similarities = gather_stripped_similarities(profiles, left_rows, right_rows)
         return np.where(similarities >= self.similarity_threshold, 1.0, similarities)
-
-    def decide_profiled(
-        self, profiles: ProfileStore, id_pairs: Sequence[IdPair]
-    ) -> list[MatchDecision]:
-        probabilities = self.score_profiled(profiles, id_pairs)
-        return [
-            MatchDecision(
-                left_id=left_id,
-                right_id=right_id,
-                probability=float(probability),
-                is_match=float(probability) >= self.threshold,
-            )
-            for (left_id, right_id), probability in zip(id_pairs, probabilities)
-        ]

@@ -38,7 +38,7 @@ golden runtime suite and a hypothesis equivalence test pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -387,7 +387,7 @@ class ProfileStore:
         "stripped_similarity_cache",
         "sim_cache_hits",
         "sim_cache_misses",
-        "_profile_cache",
+        "_materialized",
     )
 
     def __init__(self, profiles: Mapping[str, RecordProfile] = ()) -> None:
@@ -432,7 +432,7 @@ class ProfileStore:
         #: record id → materialised :class:`RecordProfile`, filled lazily by
         #: :meth:`get` (profiles are views over the columns, reconstructed
         #: exactly; the columns are the source of truth).
-        self._profile_cache: dict[str, RecordProfile] = {}
+        self._materialized: dict[str, RecordProfile] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -440,8 +440,9 @@ class ProfileStore:
     def prepare(cls, records: Iterable[Record]) -> "ProfileStore":
         """Profile every record once.  Accepts any record iterable — a
         :class:`~repro.datagen.records.Dataset` iterates its records."""
-        builder = _ProfileBuilder()
-        return cls({record.record_id: builder.build(record) for record in records})
+        store = cls()
+        store._append_profiles(store._new_profiles(records))
+        return store
 
     def add_records(self, records: Iterable[Record]) -> int:
         """Profile records not yet in the store; returns how many were added.
@@ -455,16 +456,25 @@ class ProfileStore:
         interned table only ever gains entries, so existing column rows keep
         their exact ids.
         """
-        builder = _ProfileBuilder()
-        staged: dict[str, RecordProfile] = {}
-        for record in records:
-            if record.record_id in self._row_of or record.record_id in staged:
-                continue
-            staged[record.record_id] = builder.build(record)
-        added = self._append_profiles(staged.items())
+        added = self._append_profiles(self._new_profiles(records))
         if added:
             self.revision += 1
         return added
+
+    def _new_profiles(
+        self, records: Iterable[Record]
+    ) -> Iterator[tuple[str, RecordProfile]]:
+        """``(record id, profile)`` for each record not in the store yet.
+
+        Lazy on purpose: :meth:`_append_profiles` packs each profile into
+        its column rows before the next one is built, so only one profile
+        object is alive at a time.  It also registers each id before asking
+        for the next item, so a repeated id is skipped (first one wins).
+        """
+        builder = _ProfileBuilder()
+        for record in records:
+            if record.record_id not in self._row_of:
+                yield record.record_id, builder.build(record)
 
     def memo_stats(self) -> tuple[int, int]:
         """``(hits, misses)`` of the similarity memo caches so far.
@@ -497,7 +507,8 @@ class ProfileStore:
     def _append_profiles(
         self, items: Iterable[tuple[str, RecordProfile]]
     ) -> int:
-        """Pack profiles into new column rows (callers pre-filter duplicates)."""
+        """Pack profiles into new column rows (callers filter out ids the
+        store already holds)."""
         kind_codes: list[int] = []
         source_ids: list[int] = []
         name_ids: list[int] = []
@@ -697,10 +708,10 @@ class ProfileStore:
         result is equal to the originally built profile; materialisations
         are memoised per store lifetime.
         """
-        profile = self._profile_cache.get(record_id)
+        profile = self._materialized.get(record_id)
         if profile is None:
             profile = self._materialize(self._row_of[record_id])
-            self._profile_cache[record_id] = profile
+            self._materialized[record_id] = profile
         return profile
 
     def _materialize(self, row: int) -> RecordProfile:

@@ -2,7 +2,7 @@
 
 The runtime splits the data-parallel pipeline stages (candidate generation
 and pairwise inference) into chunks and fans them out over a
-:mod:`concurrent.futures` worker pool.  Both knobs matter independently:
+:mod:`concurrent.futures` worker pool.  The knobs matter independently:
 
 * ``workers`` bounds the parallelism,
 * ``batch_size`` bounds the per-task granularity — large enough to amortize
@@ -11,22 +11,19 @@ and pairwise inference) into chunks and fans them out over a
 * ``blocking_shards`` splits candidate generation itself into record chunks
   (shared index built once, per-chunk scoring fanned out), so a single
   blocking scales beyond one core,
-* ``profile_cache`` lets profile-capable matchers score pairwise inference
-  from per-record feature profiles prepared once per run (and shipped to
-  workers once), instead of re-deriving record-local state for both sides
-  of every pair,
-* ``columnar_dispatch`` keeps profiled inference columnar end to end for
-  ``columnar_capable`` matchers: chunk tasks return probability arrays,
-  decision objects materialise lazily at the API boundary,
 * ``warm_pool`` keeps one persistent worker pool alive across stage calls,
   pipeline runs and ingest batches, shipping shared payloads through the
   epoch protocol (once per state revision) instead of re-spawning the pool
-  and re-pickling the payload per call.
+  and re-pickling the payload per call,
+* ``trace`` streams a structured run trace to a JSON Lines file.
+
+Which matching route runs is not a knob: the matcher's ``columnar_capable``
+flag picks it (see :meth:`repro.runtime.PipelineRuntime.run_matching`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 #: Executor kinds accepted by :class:`RuntimeConfig`.
 EXECUTOR_KINDS = ("thread", "process")
@@ -56,26 +53,6 @@ class RuntimeConfig:
     #: per-chunk results merge in record order, so the candidates are
     #: byte-identical to the serial run.
     blocking_shards: int = 1
-    #: Score pairwise inference from per-record feature profiles when the
-    #: matcher supports them (``profile_capable``): the profile store is
-    #: prepared once in the parent, shipped to process-pool workers via the
-    #: initializer path, and chunk tasks carry bare id pairs instead of
-    #: pickled record objects.  Output is byte-identical either way — this
-    #: knob trades memory for speed, never results.  Matchers without
-    #: profile support fall back to the record-pair path automatically.
-    profile_cache: bool = True
-    #: Dispatch pairwise inference through the matcher's columnar
-    #: ``score_profiled`` kernel when the matcher is ``columnar_capable``
-    #: (and the profiled route is active): chunk tasks return float64
-    #: probability arrays instead of per-pair decision objects, and the
-    #: engine hands back a lazy
-    #: :class:`~repro.matching.decisions.DecisionVector` that materialises
-    #: :class:`~repro.matching.base.MatchDecision` objects only where a
-    #: consumer indexes them.  Output is byte-identical either way — the
-    #: vector applies exactly the conversions ``decide_profiled`` applies
-    #: eagerly.  Non-columnar matchers fall back to the object route
-    #: automatically.
-    columnar_dispatch: bool = True
     #: Keep one persistent worker pool per runtime, spawned lazily and
     #: reused across stage calls, pipeline runs and incremental-ingest
     #: batches; shared payloads (profile store + matcher, blocking shared
@@ -107,14 +84,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"blocking_shards must be a positive integer, got {self.blocking_shards}"
             )
-        if not isinstance(self.profile_cache, bool):
-            raise ValueError(
-                f"profile_cache must be a boolean, got {self.profile_cache!r}"
-            )
-        if not isinstance(self.columnar_dispatch, bool):
-            raise ValueError(
-                f"columnar_dispatch must be a boolean, got {self.columnar_dispatch!r}"
-            )
         if not isinstance(self.warm_pool, bool):
             raise ValueError(
                 f"warm_pool must be a boolean, got {self.warm_pool!r}"
@@ -123,6 +92,14 @@ class RuntimeConfig:
             raise ValueError(
                 f"trace must be a path string or None, got {self.trace!r}"
             )
+
+    def __setstate__(self, state: dict) -> None:
+        # Configs pickled into match states before the two matching-route
+        # knobs were retired still carry them as attributes; restore the
+        # current fields only.
+        for spec in fields(self):
+            if spec.name in state:
+                object.__setattr__(self, spec.name, state[spec.name])
 
     @property
     def is_parallel(self) -> bool:

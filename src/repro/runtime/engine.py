@@ -15,26 +15,23 @@ data-parallel stages here:
   order first, record order second — before one global de-duplication, so
   first blocking wins on duplicates exactly like the serial
   :class:`~repro.blocking.combine.CombinedBlocking`,
-* **pairwise inference** — candidates are chunked into ``batch_size`` record
-  pairs; every chunk goes through the matcher's batched
-  :meth:`~repro.matching.base.PairwiseMatcher.decide_batches` entry point,
-  one call per chunk — in-process under the serial engine, one pool task
-  per chunk under the parallel engine.  When the matcher is profile-capable
-  and ``profile_cache`` is on (the default), the matcher's
-  :meth:`~repro.matching.base.PairwiseMatcher.prepare_profiles` runs once
-  here in the parent, the store ships to each worker out of band — via the
+* **pairwise inference** — candidates are chunked into ``batch_size``
+  pairs, one matcher call per chunk — in-process under the serial engine,
+  one pool task per chunk under the parallel engine — along one of two
+  routes picked by the matcher's ``columnar_capable`` flag.  Columnar
+  matchers get their
+  :meth:`~repro.matching.base.PairwiseMatcher.prepare_profiles` run once
+  here in the parent; the store ships to each worker out of band — via the
   warm pool's epoch protocol (once per state revision) or, under
-  ``warm_pool=False``, via the per-call pool initializer — and the
-  per-chunk payload shrinks to bare id pairs: record objects are no longer
-  re-pickled per batch, and record-local feature derivations happen once
-  per record instead of once per pair side.  When the matcher is
-  additionally ``columnar_capable`` (and ``columnar_dispatch`` is on, the
-  default), chunk tasks run the matcher's vectorised ``score_profiled``
-  kernel and return bare float64 probability arrays — the engine
-  concatenates them and hands back a lazy
-  :class:`~repro.matching.decisions.DecisionVector`, so no per-pair
+  ``warm_pool=False``, via the per-call pool initializer — chunk tasks
+  carry bare id pairs, run the matcher's vectorised ``score_profiled``
+  kernel and return float64 probability arrays, and the engine hands back
+  a lazy :class:`~repro.matching.decisions.DecisionVector`, so no per-pair
   decision object is built (or shipped) unless a consumer at the
-  pipeline/API/CLI boundary actually indexes one.
+  pipeline/API/CLI boundary indexes one.  Every other matcher gets chunks
+  of record pairs through its batched
+  :meth:`~repro.matching.base.PairwiseMatcher.decide_batches` entry
+  point.
 
 The runtime owns one persistent :class:`~repro.runtime.pool.WorkerPool`
 (via its scheduler) when ``warm_pool`` is on: spawned lazily on the first
@@ -85,29 +82,22 @@ def _decide_chunk(
 
 @dataclass(frozen=True)
 class _MatchingPlan:
-    """Per-run shared state of the profiled inference path.
+    """Per-run shared state of the columnar inference route.
 
     The matcher and its prepared profile store ride to each process-pool
-    worker once via the initializer, so chunk tasks only carry id pairs.
+    worker out of band, so chunk tasks only carry id pairs.
     """
 
     matcher: PairwiseMatcher
     profiles: Any
 
 
-def _decide_profiled_chunk(
-    plan: _MatchingPlan, id_pairs: list[tuple[str, str]]
-) -> list[MatchDecision]:
-    """Worker task: one profiled inference chunk (module-level, picklable)."""
-    return plan.matcher.decide_profiled_batches(plan.profiles, [id_pairs])[0]
-
-
 def _score_profiled_chunk(
     plan: _MatchingPlan, id_pairs: list[tuple[str, str]]
 ) -> np.ndarray:
-    """Worker task of the columnar dispatch route: one chunk's probability
-    vector, as a float64 array — no per-pair decision objects are built (or
-    pickled back) anywhere in the fan-out."""
+    """Worker task of the columnar route: one chunk's probability vector, as
+    a float64 array — no per-pair decision objects are built (or pickled
+    back) anywhere in the fan-out."""
     return plan.matcher.score_profiled(plan.profiles, id_pairs)
 
 
@@ -355,53 +345,45 @@ class PipelineRuntime:
     ) -> Sequence[MatchDecision]:
         """Predict Match / NoMatch for every candidate, in candidate order.
 
-        Either way the scheduler runs one matcher call per ``batch_size``
+        The scheduler runs one matcher call per ``batch_size``
         chunk (in-process when serial, pooled when parallel), so the matcher
         entry point, the call granularity and the numeric batch shapes are
         identical at any worker count — which is what keeps serial and
         parallel decisions bit-identical — and every run gets per-chunk
-        timings and pair counts.  The three routes differ only in what
-        rides where:
+        timings and pair counts.  The matcher's ``columnar_capable`` flag
+        picks the route:
 
-        * **columnar** (profiled route active, matcher ``columnar_capable``,
-          ``columnar_dispatch`` on) — chunk tasks run the matcher's
-          :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` kernel
-          and return float64 probability arrays; the concatenated vector
-          comes back as a lazy
-          :class:`~repro.matching.decisions.DecisionVector` that
-          materialises decision objects only at the API boundary;
-        * **profiled** (``profile_cache`` on, matcher ``profile_capable``) —
-          the matcher prepares its per-record profiles once, matcher + store
-          ship to each worker out of band (epoch protocol or initializer),
-          chunk payloads are bare id pairs;
-        * **record pairs** (fallback) — chunk payloads are the record
-          objects themselves, resolved here in the parent.
-
-        The chunking — and therefore every numeric batch shape — is shared
-        by all three routes, which is what keeps their outputs byte-identical
-        (the columnar invariance suite pins this at every engine setting).
+        * **columnar** — the matcher prepares its per-record profiles once,
+          matcher + store ship to each worker out of band (epoch protocol
+          or initializer), chunk tasks carry bare id pairs, run
+          :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` and
+          return float64 probability arrays; the concatenated vector comes
+          back as a lazy :class:`~repro.matching.decisions.DecisionVector`
+          that materialises decision objects only at the API boundary;
+        * **record pairs** — chunk payloads are the record objects
+          themselves, resolved here in the parent, and go through
+          :meth:`~repro.matching.base.PairwiseMatcher.decide_batches`.
 
         ``profiles`` (optional) short-circuits the preparation step of the
-        profiled route with an already-built store — the incremental
+        columnar route with an already-built store — the incremental
         matcher's persistent :class:`~repro.matching.profiles.ProfileStore`
         rides through here so each delta reuses every prior profile.  It
-        must cover every record the candidates reference; profiled output is
+        must cover every record the candidates reference; the output is
         byte-identical to in-run preparation because profiles are pure
         per-record derivations.
 
         ``id_pairs`` (optional) short-circuits the id-pair extraction of the
-        profiled routes with a precomputed ``(left_id, right_id)`` list
+        columnar route with a precomputed ``(left_id, right_id)`` list
         aligned with ``candidates`` — callers that already hold bare id
         pairs (incremental ingest) skip the per-candidate Python loop here.
         """
         if not candidates:
             return []
-        if self.config.profile_cache and matcher.profile_capable:
+        if matcher.columnar_capable:
             if profiles is None:
                 # Profile only the records the candidates reference: on a
                 # sparse candidate set (narrow blocking over a huge dataset)
-                # profiling the whole dataset would cost more than the cache
-                # saves.
+                # profiling the whole dataset would cost more than scoring.
                 referenced: dict[str, None] = {}
                 for candidate in candidates:
                     referenced.setdefault(candidate.left_id)
@@ -421,7 +403,6 @@ class PipelineRuntime:
                 )
             plan = _MatchingPlan(matcher=matcher, profiles=profiles)
             id_batches = chunked(id_pairs, self.config.batch_size)
-            columnar = self.config.columnar_dispatch and matcher.columnar_capable
             # Similarity-memo accounting (trace only): delta the store's
             # hit/miss counters around the stage.  In-process execution
             # (serial, and threads — they share the store by reference) is
@@ -433,7 +414,7 @@ class PipelineRuntime:
                 else None
             )
             scored = self.scheduler.map_chunks(
-                _score_profiled_chunk if columnar else _decide_profiled_chunk,
+                _score_profiled_chunk,
                 id_batches,
                 stage="pairwise_matching",
                 profiler=profiler,
@@ -457,39 +438,33 @@ class PipelineRuntime:
                 self.recorder.metrics.add(
                     "profile_store.sim_memo.misses", misses_after - misses_before
                 )
-            if columnar:
-                # Concatenating the per-chunk vectors copies values bitwise,
-                # so the vector holds exactly the probabilities the object
-                # route would attach chunk by chunk.
-                probabilities = (
-                    scored[0] if len(scored) == 1 else np.concatenate(scored)
-                )
-                return DecisionVector(
-                    pairs=id_pairs,
-                    probabilities=probabilities,
-                    threshold=matcher.threshold,
-                )
-            decided = scored
-        else:
-            pair_batches: list[list[RecordPair]] = [
-                [
-                    (dataset.record(candidate.left_id), dataset.record(candidate.right_id))
-                    for candidate in batch
-                ]
-                for batch in chunked(candidates, self.config.batch_size)
-            ]
-            decided = self.scheduler.map_chunks(
-                _decide_chunk,
-                pair_batches,
-                stage="pairwise_matching",
-                profiler=profiler,
-                shared=matcher,
-                # The matcher itself is the payload: the same matcher object
-                # is current across calls (fitted models are not re-fit
-                # between runs in the built-in flows).
-                shared_anchors=(matcher,),
-                items=len,
+            # Concatenating the per-chunk vectors copies values bitwise, so
+            # the vector holds exactly the probabilities each chunk scored.
+            probabilities = scored[0] if len(scored) == 1 else np.concatenate(scored)
+            return DecisionVector(
+                pairs=id_pairs,
+                probabilities=probabilities,
+                threshold=matcher.threshold,
             )
+        pair_batches: list[list[RecordPair]] = [
+            [
+                (dataset.record(candidate.left_id), dataset.record(candidate.right_id))
+                for candidate in batch
+            ]
+            for batch in chunked(candidates, self.config.batch_size)
+        ]
+        decided = self.scheduler.map_chunks(
+            _decide_chunk,
+            pair_batches,
+            stage="pairwise_matching",
+            profiler=profiler,
+            shared=matcher,
+            # The matcher itself is the payload: the same matcher object is
+            # current across calls (fitted models are not re-fit between
+            # runs in the built-in flows).
+            shared_anchors=(matcher,),
+            items=len,
+        )
         decisions: list[MatchDecision] = []
         for batch in decided:
             decisions.extend(batch)

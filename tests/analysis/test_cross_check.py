@@ -83,49 +83,6 @@ class TestBlockingFlags:
                     )
 
 
-class TestMatcherFlags:
-    def test_profile_capable_matchers_override_the_profile_methods(self):
-        from repro.matching.base import PairwiseMatcher
-
-        classes = matcher_classes()
-        assert classes  # discovery through the registry must find matchers
-        for cls in classes:
-            if inspect.isabstract(cls):
-                continue
-            runtime = bool(getattr(cls, "profile_capable", False))
-            if runtime:
-                for method in PROTOCOL_METHODS["profile_capable"]:
-                    assert getattr(cls, method) is not getattr(
-                        PairwiseMatcher, method
-                    ), (
-                        f"{cls.__name__}: profile_capable=True but {method}() "
-                        "is the base-class stub"
-                    )
-
-    def test_declared_matcher_flags_match_runtime(self):
-        for cls in matcher_classes():
-            declared = info_for(cls).flags.get("profile_capable")
-            if declared is not None:
-                assert declared == bool(getattr(cls, "profile_capable", False)), (
-                    f"{cls.__name__}: body declares profile_capable={declared} "
-                    "but the runtime flag disagrees"
-                )
-
-    def test_profile_capable_is_restated_where_true(self):
-        # The linter demands restatement; verify every capable class complies.
-        capable = [
-            cls
-            for cls in matcher_classes()
-            if bool(getattr(cls, "profile_capable", False))
-        ]
-        assert capable  # the repo ships profiled matchers
-        for cls in capable:
-            assert info_for(cls).flags.get("profile_capable") is True, (
-                f"{cls.__name__} relies on an inherited profile_capable flag "
-                "the linter cannot see"
-            )
-
-
 class TestColumnarFlags:
     def test_columnar_matchers_override_score_profiled(self):
         from repro.matching.base import PairwiseMatcher
@@ -146,16 +103,6 @@ class TestColumnarFlags:
                 f"{cls.__name__} relies on an inherited columnar_capable flag "
                 "the linter cannot see"
             )
-
-    def test_columnar_implies_profiled(self):
-        # score_profiled consumes the profile store prepare_profiles builds,
-        # so the columnar protocol only makes sense inside the profiled one.
-        for cls in matcher_classes():
-            if bool(getattr(cls, "columnar_capable", False)):
-                assert bool(getattr(cls, "profile_capable", False)), (
-                    f"{cls.__name__}: columnar_capable=True requires "
-                    "profile_capable=True"
-                )
 
     def test_declared_columnar_flags_match_runtime(self):
         for cls in matcher_classes():

@@ -36,77 +36,40 @@ class TestFlagWithoutMethods:
         assert len(findings) == 1
         assert "delta_update" in findings[0].message
 
-    def test_profile_capable_without_methods_is_caught(self):
-        source = "class M:\n    profile_capable = True\n"
+    def test_columnar_capable_without_methods_is_caught(self):
+        source = "class M:\n    columnar_capable = True\n"
         findings = findings_of(source, module="repro.matching.fixture")
         assert len(findings) == 1
         assert "prepare_profiles" in findings[0].message
+        assert "score_profiled" in findings[0].message
 
     def test_columnar_capable_without_score_profiled_is_caught(self):
         source = (
             "class M:\n"
-            "    profile_capable = True\n"
             "    columnar_capable = True\n"
             "\n"
             "    def prepare_profiles(self, records):\n"
             "        return {}\n"
-            "\n"
-            "    def decide_profiled(self, profiles, id_pairs):\n"
-            "        return []\n"
         )
         findings = findings_of(source, module="repro.matching.fixture")
         assert len(findings) == 1
         assert "score_profiled" in findings[0].message
+        assert findings[0].line == 2  # reported at the flag assignment
 
-    def test_columnar_without_profile_capable_is_caught(self):
-        # The dependency check: columnar scoring consumes the profile store,
-        # so the flag presupposes the profiled protocol — even with
-        # score_profiled fully implemented.
+    def test_columnar_suppression_silences(self):
         source = (
             "class M:\n"
-            "    columnar_capable = True\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert len(findings) == 1
-        assert "profile_capable" in findings[0].message
-        assert findings[0].line == 2  # reported at the columnar flag
-
-    def test_columnar_with_profile_capable_false_is_caught(self):
-        source = (
-            "class M:\n"
-            "    profile_capable = False\n"
-            "    columnar_capable = True\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert any("profile_capable = True" in f.message for f in findings)
-
-    def test_columnar_dependency_suppression_silences(self):
-        source = (
-            "class M:\n"
-            "    columnar_capable = True  # repro-lint: disable=protocol-conformance -- inherited profiled protocol\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
+            "    columnar_capable = True  # repro-lint: disable=protocol-conformance -- methods inherited\n"
         )
         assert findings_of(source, module="repro.matching.fixture") == []
 
     def test_columnar_protocol_complete_is_clean(self):
         source = (
             "class M:\n"
-            "    profile_capable = True\n"
             "    columnar_capable = True\n"
             "\n"
             "    def prepare_profiles(self, records):\n"
             "        return {}\n"
-            "\n"
-            "    def decide_profiled(self, profiles, id_pairs):\n"
-            "        return []\n"
             "\n"
             "    def score_profiled(self, profiles, id_pairs):\n"
             "        return profiles.score(id_pairs)\n"
@@ -195,20 +158,18 @@ class TestMethodsWithoutFlag:
         )
         assert findings_of(source) == []
 
-    def test_default_implementation_on_the_defining_base_is_exempt(self):
-        # Mirrors PairwiseMatcher: the required methods are stubs, the
-        # optional batch method carries a real default body.
+    def test_stub_protocol_on_the_defining_matcher_base_is_clean(self):
+        # Mirrors PairwiseMatcher: the flag defaults to False and both
+        # protocol methods are stubs raising NotImplementedError.
         source = (
             "class Matcher:\n"
-            "    profile_capable = False\n"
+            "    columnar_capable = False\n"
             "\n"
             "    def prepare_profiles(self, records):\n"
             "        raise NotImplementedError\n"
             "\n"
-            "    def decide_profiled(self, left, right):\n"
+            "    def score_profiled(self, profiles, id_pairs):\n"
+            '        """Protocol stub."""\n'
             "        raise NotImplementedError\n"
-            "\n"
-            "    def decide_profiled_batches(self, pairs):\n"
-            "        return [self.decide_profiled(a, b) for a, b in pairs]\n"
         )
         assert findings_of(source, module="repro.matching.fixture") == []

@@ -111,6 +111,62 @@ class TestMalformedCsv:
         with pytest.raises(DatasetFormatError, match=r"odd\.csv:3: column 'record_type'"):
             read_dataset_csv(path)
 
+    def test_duplicate_record_id_names_both_lines(self, small_benchmark, tmp_path):
+        # Records are keyed by id downstream (dataset index, profile store):
+        # a repeated id is a format error of the file, located at the repeat.
+        path, lines = self.written_lines(small_benchmark, tmp_path)
+        lines.append(lines[2])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        record_id = lines[2].split(",")[1]
+        with pytest.raises(DatasetFormatError) as excinfo:
+            read_dataset_csv(path)
+        error = excinfo.value
+        assert (error.path, error.line, error.column) == (path, len(lines), "record_id")
+        assert str(error) == (
+            f"{path}:{len(lines)}: column 'record_id': duplicate id "
+            f"{record_id!r} (first on line 3)"
+        )
+
+    @pytest.mark.parametrize("content", ["", "header"], ids=["empty", "header-only"])
+    def test_file_without_records_is_a_format_error(
+        self, small_benchmark, tmp_path, content
+    ):
+        path, lines = self.written_lines(small_benchmark, tmp_path)
+        path.write_text(lines[0] + "\n" if content else "", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            read_dataset_csv(path)
+        assert (excinfo.value.line, excinfo.value.column) == (1, None)
+        assert str(excinfo.value) == f"{path}:1: no records (the file has no data rows)"
+
+    @pytest.mark.parametrize("command", ["stats", "match", "run", "ingest"])
+    @pytest.mark.parametrize("defect", ["header-only", "duplicate-id"])
+    def test_every_dataset_command_reports_one_line_and_exits_2(
+        self, small_benchmark, tmp_path, capsys, command, defect
+    ):
+        from repro.cli import main
+
+        path, lines = self.written_lines(small_benchmark, tmp_path)
+        lines = lines[:1] if defect == "header-only" else lines + [lines[1]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if command == "stats":
+            argv = ["stats", str(path)]
+        elif command == "match":
+            argv = ["match", str(path), "--model", "logistic", "--epochs", "1"]
+        else:
+            spec = tmp_path / "experiment.toml"
+            spec.write_text(
+                f'[experiment]\ndataset = "{path}"\nkind = "companies"\n'
+                'model = "logistic"\nepochs = 1\n'
+            )
+            argv = ["run", str(spec)] if command == "run" else [
+                "ingest", str(path), "--state", str(tmp_path / "state"),
+                "--config", str(spec),
+            ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:")
+        assert err.count("\n") == 1
+
     def test_cli_reports_one_line_and_exits_2(self, small_benchmark, tmp_path, capsys):
         from repro.cli import main
 

@@ -31,12 +31,13 @@ def golden_setup():
 
 @pytest.fixture(scope="package")
 def pipeline_factory(golden_setup):
-    """Factory for the golden batch pipeline (runtime config optional)."""
-    _, matcher = golden_setup
+    """Factory for the golden batch pipeline (runtime config and a stand-in
+    for the golden matcher optional)."""
+    _, golden_matcher = golden_setup
 
-    def make(runtime=None):
+    def make(runtime=None, matcher=None):
         return EntityGroupMatchingPipeline(
-            matcher=matcher,
+            matcher=matcher or golden_matcher,
             blocking=CombinedBlocking(
                 [IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]
             ),

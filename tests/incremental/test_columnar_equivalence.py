@@ -1,48 +1,62 @@
-"""Columnar dispatch is invisible to incremental ingestion.
+"""The matching route is invisible to incremental ingestion.
 
-The batch golden result is produced with the default runtime (columnar
-dispatch on).  Ingesting any partition of the same records with
-``columnar_dispatch=False`` — per-pair decision objects end to end — must
-reproduce it byte for byte, and vice versa: the array-backed decision
-cache never changes what a delta scores, reuses, or groups.
+The batch golden result is produced by the columnar logistic matcher.
+Ingesting any partition of the same records with the *same fitted model*
+on the record-pair route — plain decision lists into the decision cache —
+must reproduce it byte for byte.  Ingested decisions are served as a lazy
+:class:`~repro.matching.decisions.DecisionVector` gathered off the cache
+arrays either way, and a second delta reuses cached rows instead of
+rescoring them.
 """
 
 import pytest
 
+from repro.incremental import IncrementalMatcher
+from repro.matching import LogisticRegressionMatcher
 from repro.matching.decisions import DecisionCache, DecisionVector
 from repro.runtime import RuntimeConfig
 
 from tests.incremental.test_batch_equivalence import (
+    RUNTIMES,
     assert_equals_batch,
     ingest_in_batches,
     partition_records,
 )
 
-COLUMNAR_SWEEP = [
-    pytest.param(RuntimeConfig(batch_size=64, columnar_dispatch=columnar),
-                 id=f"serial-{mode}")
-    for columnar, mode in ((True, "columnar"), (False, "objects"))
-] + [
-    pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor=executor,
-                      blocking_shards=4, columnar_dispatch=columnar),
-        id=f"{executor}-{mode}",
+
+class RecordPairLogistic(LogisticRegressionMatcher):
+    """A fitted logistic model routed through record pairs, not the store."""
+
+    columnar_capable = False
+
+
+def record_pair_route(matcher):
+    twin = RecordPairLogistic.__new__(RecordPairLogistic)
+    twin.__dict__.update(matcher.__dict__)
+    return twin
+
+
+def ingest_record_pairs(golden_setup, pipeline_factory, batches, runtime):
+    _, matcher = golden_setup
+    incremental = IncrementalMatcher.from_pipeline(
+        pipeline_factory(runtime, matcher=record_pair_route(matcher)), name="golden"
     )
-    for executor in ("thread", "process")
-    for columnar, mode in ((True, "columnar"), (False, "objects"))
-]
+    for batch in batches:
+        incremental.ingest(batch)
+    return incremental
 
 
-@pytest.mark.parametrize("runtime", COLUMNAR_SWEEP)
+@pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("num_batches", [1, 2, 7])
-class TestColumnarPartitionInvariance:
-    def test_dispatch_route_is_invisible_in_the_artefacts(
+class TestRecordPairRoutePartitionInvariance:
+    def test_record_pair_route_reproduces_the_columnar_batch_run(
         self, golden_setup, pipeline_factory, batch_result, runtime, num_batches
     ):
         companies, _ = golden_setup
         batches = partition_records(companies.records, num_batches)
-        matcher = ingest_in_batches(pipeline_factory, batches, runtime)
+        matcher = ingest_record_pairs(golden_setup, pipeline_factory, batches, runtime)
         try:
+            assert matcher.state.profiles is None  # the store was never built
             assert_equals_batch(matcher, batch_result)
         finally:
             matcher.close()
@@ -53,29 +67,23 @@ class TestDecisionCacheMechanics:
         self, golden_setup, pipeline_factory
     ):
         # Not just the served artefacts: the persistent cache rows themselves
-        # (pairs, probabilities, verdicts) must match, so a state written by
-        # one route reads back identically under the other.
+        # (pairs, probabilities, verdicts) must match, so a state written on
+        # one route reads back identically on the other.
         companies, _ = golden_setup
         batches = partition_records(companies.records, 2)
-        on = ingest_in_batches(
-            pipeline_factory, batches, RuntimeConfig(columnar_dispatch=True)
+        columnar = ingest_in_batches(pipeline_factory, batches, RuntimeConfig())
+        record_pairs = ingest_record_pairs(
+            golden_setup, pipeline_factory, batches, RuntimeConfig()
         )
-        off = ingest_in_batches(
-            pipeline_factory, batches, RuntimeConfig(columnar_dispatch=False)
-        )
-        assert isinstance(on.state.decisions, DecisionCache)
-        assert on.state.decisions == off.state.decisions
+        assert isinstance(record_pairs.state.decisions, DecisionCache)
+        assert columnar.state.decisions == record_pairs.state.decisions
 
     def test_decisions_are_served_as_a_vector(
         self, golden_setup, pipeline_factory, batch_result
     ):
-        # The incremental API boundary stays lazy: decisions() gathers a
-        # DecisionVector off the cache arrays regardless of dispatch route.
         companies, _ = golden_setup
         matcher = ingest_in_batches(
-            pipeline_factory,
-            [companies.records],
-            RuntimeConfig(columnar_dispatch=False),
+            pipeline_factory, [companies.records], RuntimeConfig()
         )
         decisions = matcher.decisions()
         assert isinstance(decisions, DecisionVector)
@@ -86,9 +94,7 @@ class TestDecisionCacheMechanics:
     ):
         companies, _ = golden_setup
         halves = partition_records(companies.records, 2)
-        matcher = ingest_in_batches(
-            pipeline_factory, halves[:1], RuntimeConfig(columnar_dispatch=True)
-        )
+        matcher = ingest_in_batches(pipeline_factory, halves[:1], RuntimeConfig())
         report = matcher.ingest(halves[1])
         assert report.pairs_reused > 0
         assert report.pairs_scored < len(batch_result.candidates)

@@ -247,6 +247,38 @@ class TestFormatMigration:
         )
         assert isinstance(payload["decisions"], DecisionCache)
 
+    def test_runtime_config_with_retired_knobs_loads_and_ingests(
+        self, golden_setup, batch_result, saved_state
+    ):
+        # Every state saved before the matching-route knobs were retired
+        # pickled them as RuntimeConfig attributes; such a state loads (no
+        # format bump), drops them, and ingests onward to the batch groups.
+        from repro.runtime import RuntimeConfig
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        matcher, state_dir = saved_state
+        manifest = read_manifest(state_dir)
+        assert manifest["format_version"] == STATE_FORMAT_VERSION == 2
+        components_path = state_dir / manifest["payload_dir"] / "components.pkl"
+        components = pickle.loads(components_path.read_bytes())
+        legacy = components["runtime_config"]
+        object.__setattr__(legacy, "profile_cache", True)
+        object.__setattr__(legacy, "columnar_dispatch", True)
+        components_path.write_bytes(
+            pickle.dumps(components, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert b"columnar_dispatch" in components_path.read_bytes()
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.runtime_config == matcher.state.runtime_config
+        assert not hasattr(reloaded.state.runtime_config, "profile_cache")
+        assert vars(reloaded.state.runtime_config) == vars(RuntimeConfig())
+        reloaded.ingest(companies.records[100:])
+        matcher.ingest(companies.records[100:])
+        assert_equals_batch(reloaded, batch_result)
+        assert reloaded.groups.groups == matcher.groups.groups
+
     def test_cache_pickle_round_trip_rebuilds_the_index(self, saved_state):
         matcher, _ = saved_state
         cache = matcher.state.decisions
@@ -290,6 +322,19 @@ class TestProfileStoreRoundTrip:
         assert rescored.tobytes() == direct.tobytes()
         assert reloaded.name_similarity_cache
         assert reloaded.name_similarity_cache.items() <= store.name_similarity_cache.items()
+
+    def test_columnar_payload_layout_is_unchanged(self, saved_state):
+        # Saved states hold the store's pickled columns; the layout (format
+        # marker + column keys) is part of the on-disk format.
+        matcher, _ = saved_state
+        payload = matcher.state.profiles.__getstate__()
+        assert payload["format"] == "profile-store-columnar-v1"
+        assert list(payload) == [
+            "format", "record_ids", "strings", "kind_codes", "source_ids",
+            "name_ids", "stripped_ids", "has_description", "attr_ids",
+            "identifier_ids", "name_token_sets", "stripped_token_sets",
+            "description_token_sets", "description_token_seqs", "isin_sets",
+        ]
 
     def test_state_serialisation_matches_plain_pickling(self, saved_state):
         # The state path must behave exactly like pickling the store (the

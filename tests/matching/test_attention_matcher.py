@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_features import reference_features
 
 from repro.matching.attention import TransformerPairClassifier
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
@@ -117,6 +118,17 @@ class TestTraining:
         record_pairs, labels = as_record_pairs(pairs)
         model = small_model(num_epochs=1).fit(record_pairs, labels)
         assert model.predict_proba([]) == []
+
+    def test_feature_head_matches_the_per_pair_oracle(self, companies):
+        # The similarity-feature head shares the one columnar extraction
+        # with the logistic matcher: before scaling it is the oracle matrix.
+        pairs = build_labeled_pairs(companies, negative_ratio=2, seed=7)[:90]
+        record_pairs, _ = as_record_pairs(pairs)
+        aux = small_model()._aux_features(record_pairs)
+        assert aux.tobytes() == reference_features(record_pairs).tobytes()
+        assert small_model(use_similarity_features=False)._aux_features(
+            record_pairs
+        ).shape == (len(record_pairs), 0)
 
     def test_num_parameters_positive_after_fit(self, companies):
         pairs = build_labeled_pairs(companies, negative_ratio=1, seed=6)[:60]

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from reference_features import reference_features
 
 from repro.datagen.records import CompanyRecord, SecurityRecord
-from repro.matching.features import PairFeatureExtractor
+from repro.matching.features import EXTRACTION_BLOCK, PairFeatureExtractor
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 
@@ -18,14 +19,18 @@ def company(record_id, name, source="S1", entity="e", **kwargs):
 class TestFeatureExtractor:
     extractor = PairFeatureExtractor()
 
+    def features(self, left, right):
+        """The feature vector of one pair, through the batched entry point."""
+        return self.extractor.extract_batch([(left, right)])[0]
+
     def test_vector_length_matches_names(self):
-        vector = self.extractor.extract(company("a", "Acme"), company("b", "Acme"))
+        vector = self.features(company("a", "Acme"), company("b", "Acme"))
         assert vector.shape == (self.extractor.num_features,)
         assert len(self.extractor.feature_names()) == self.extractor.num_features
 
     def test_identical_names_score_high(self):
-        same = self.extractor.extract(company("a", "Acme Corp"), company("b", "Acme Corp"))
-        different = self.extractor.extract(company("a", "Acme Corp"), company("b", "Zenith Bank"))
+        same = self.features(company("a", "Acme Corp"), company("b", "Acme Corp"))
+        different = self.features(company("a", "Acme Corp"), company("b", "Zenith Bank"))
         names = self.extractor.feature_names()
         jw = names.index("name_jaro_winkler")
         assert same[jw] > different[jw]
@@ -39,22 +44,22 @@ class TestFeatureExtractor:
                                name="Zen stock", isin="CH0038863350")
         names = self.extractor.feature_names()
         overlap_index = names.index("identifier_overlap_count")
-        assert self.extractor.extract(left, right)[overlap_index] == 1.0
-        assert self.extractor.extract(left, other)[overlap_index] == 0.0
+        assert self.features(left, right)[overlap_index] == 1.0
+        assert self.features(left, other)[overlap_index] == 0.0
 
     def test_company_isin_overlap_feature(self):
         left = company("a", "Acme", security_isins=("US0378331005",))
         right = company("b", "Acme Inc", security_isins=("US0378331005", "CH0038863350"))
         names = self.extractor.feature_names()
         isin_index = names.index("isin_overlap")
-        assert self.extractor.extract(left, right)[isin_index] == 1.0
+        assert self.features(left, right)[isin_index] == 1.0
 
     def test_missing_attributes_are_neutral(self):
         left = company("a", "Acme", city=None)
         right = company("b", "Acme", city="Zurich")
         names = self.extractor.feature_names()
         city_index = names.index("city_match")
-        assert self.extractor.extract(left, right)[city_index] == 0.5
+        assert self.features(left, right)[city_index] == 0.5
 
     def test_batch_shape(self):
         pairs = [(company("a", "Acme"), company("b", "Acme"))] * 3
@@ -63,6 +68,27 @@ class TestFeatureExtractor:
 
     def test_empty_batch(self):
         assert self.extractor.extract_batch([]).shape == (0, self.extractor.num_features)
+
+    def test_records_repeated_across_pairs_share_one_profile(self):
+        acme, acme_inc, zenith = (
+            company("a", "Acme"), company("b", "Acme Inc"), company("c", "Zenith")
+        )
+        pairs = [(acme, acme_inc), (acme, zenith), (zenith, acme_inc), (acme, acme)]
+        matrix = self.extractor.extract_batch(pairs)
+        assert matrix.tobytes() == reference_features(pairs).tobytes()
+        # An equal copy of a record is the same record to the store.
+        copy = company("a", "Acme")
+        assert self.extractor.extract_batch([(copy, zenith), (acme, zenith)]).tobytes() == (
+            reference_features([(acme, zenith), (acme, zenith)]).tobytes()
+        )
+
+    def test_two_different_records_with_one_id_are_rejected(self):
+        # The store keys records by id: scoring one in place of the other
+        # would silently give the wrong features, so extraction refuses.
+        first, imposter = company("dup", "Acme"), company("dup", "Zenith")
+        with pytest.raises(ValueError, match="'dup'"):
+            self.extractor.extract_batch([(first, company("b", "Acme Inc")),
+                                          (imposter, first)])
 
     def test_values_are_finite(self, companies):
         pairs = build_labeled_pairs(companies, negative_ratio=1, seed=0)[:50]
@@ -146,6 +172,33 @@ class TestLogisticRegressionMatcher:
         for decision, score in zip(decisions, scored):
             assert decision.pair == score.pair
             assert decision.is_match == (decision.probability >= matcher.threshold)
+
+    def test_fit_equals_fit_on_reference_features_bitwise(self, companies):
+        # Training goes through the columnar store; a fit on the per-pair
+        # oracle's features must land on the very same floats.
+        class ReferenceExtractor(PairFeatureExtractor):
+            def extract_batch(self, pairs):
+                return reference_features(pairs)
+
+        pairs = build_labeled_pairs(companies, negative_ratio=5, seed=6)
+        record_pairs, labels = as_record_pairs(pairs)
+        split = int(len(record_pairs) * 0.8)
+        assert split > EXTRACTION_BLOCK  # training extraction runs in blocks
+
+        def fit(extractor):
+            return LogisticRegressionMatcher(num_iterations=60, extractor=extractor).fit(
+                record_pairs[:split], labels[:split],
+                validation_pairs=record_pairs[split:], validation_labels=labels[split:],
+            )
+
+        columnar = fit(PairFeatureExtractor())
+        reference = fit(ReferenceExtractor())
+        assert columnar._weights.tobytes() == reference._weights.tobytes()
+        assert columnar._bias == reference._bias
+        assert columnar._feature_means.tobytes() == reference._feature_means.tobytes()
+        assert columnar._feature_scales.tobytes() == reference._feature_scales.tobytes()
+        assert columnar.history == reference.history
+        assert columnar.predict_proba(record_pairs) == reference.predict_proba(record_pairs)
 
     def test_empty_prediction(self, companies):
         pairs = build_labeled_pairs(companies, negative_ratio=1, seed=5)

@@ -1,21 +1,24 @@
 """Per-record feature profiles: equivalence with direct pairwise extraction.
 
-The profile subsystem's contract is that scoring a pair from two
-:class:`~repro.matching.profiles.RecordProfile` objects is **byte identical**
-to re-deriving everything from the records, for every record shape the
-extractor supports.  The reference implementation below is the historical
-pairwise-recompute extractor, kept verbatim as the oracle; hypothesis
-drives randomised company / security / product records (including missing
-attributes, token-less names and mixed-kind pairs) against it.
+The profile subsystem's contract is that scoring pairs from the columnar
+:class:`~repro.matching.profiles.ProfileStore` is **byte identical** to
+re-deriving everything from the records, for every record shape the
+extractor supports.  The oracle is the historical pairwise-recompute
+extractor (``reference_features.py``); hypothesis drives randomised
+company / security / product records (including missing attributes,
+token-less names and mixed-kind pairs) through both production entry
+points — ``extract_batch`` on record pairs and ``extract_batch_profiles``
+on a prepared store — against it.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_features import reference_extract, reference_features
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
-from repro.datagen.records import CompanyRecord, ProductRecord, Record, SecurityRecord
+from repro.datagen.records import CompanyRecord, ProductRecord, SecurityRecord
 from repro.matching.features import PairFeatureExtractor
 from repro.matching.profiles import (
     KIND_COMPANY,
@@ -24,108 +27,7 @@ from repro.matching.profiles import (
     ProfileStore,
     build_profile,
 )
-from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
-from repro.text.similarity import (
-    jaccard_similarity,
-    jaro_winkler_similarity,
-    levenshtein_similarity,
-    longest_common_substring_similarity,
-    overlap_coefficient,
-)
-from repro.text.tokenize import word_tokenize
-
-
-# -- the oracle: the historical pairwise-recompute extractor -----------------
-
-
-def _name(record: Record) -> str:
-    for attribute in ("name", "title"):
-        value = getattr(record, attribute, None)
-        if value:
-            return str(value)
-    return ""
-
-
-def _attribute(record: Record, attribute: str) -> str:
-    value = getattr(record, attribute, None)
-    return str(value) if value else ""
-
-
-def _equality_feature(left: Record, right: Record, attribute: str) -> float:
-    left_value = normalize_text(_attribute(left, attribute))
-    right_value = normalize_text(_attribute(right, attribute))
-    if not left_value or not right_value:
-        return 0.5
-    return 1.0 if left_value == right_value else 0.0
-
-
-def _identifier_features(left: Record, right: Record) -> tuple[int, int, float]:
-    overlaps = 0
-    conflicts = 0
-    isin_overlap = 0.0
-    if isinstance(left, SecurityRecord) and isinstance(right, SecurityRecord):
-        for field in SECURITY_ID_FIELDS:
-            left_value = normalize_identifier(getattr(left, field))
-            right_value = normalize_identifier(getattr(right, field))
-            if not left_value or not right_value:
-                continue
-            if left_value == right_value:
-                overlaps += 1
-            else:
-                conflicts += 1
-        isin_overlap = 1.0 if overlaps else 0.0
-    if isinstance(left, CompanyRecord) and isinstance(right, CompanyRecord):
-        left_isins = {normalize_identifier(value) for value in left.security_isins}
-        right_isins = {normalize_identifier(value) for value in right.security_isins}
-        left_isins.discard("")
-        right_isins.discard("")
-        shared = left_isins & right_isins
-        overlaps = len(shared)
-        if left_isins and right_isins and not shared:
-            conflicts = 1
-        isin_overlap = 1.0 if shared else 0.0
-    return overlaps, conflicts, isin_overlap
-
-
-def reference_extract(left: Record, right: Record) -> np.ndarray:
-    """The pre-profile extractor, re-deriving everything per pair."""
-    left_name_norm = normalize_text(_name(left))
-    right_name_norm = normalize_text(_name(right))
-    left_tokens = left_name_norm.split()
-    right_tokens = right_name_norm.split()
-    left_stripped = strip_corporate_terms(_name(left))
-    right_stripped = strip_corporate_terms(_name(right))
-    left_description = _attribute(left, "description")
-    right_description = _attribute(right, "description")
-    description_tokens_left = word_tokenize(left_description)
-    description_tokens_right = word_tokenize(right_description)
-    identifier_overlaps, identifier_conflicts, isin_overlap = _identifier_features(
-        left, right
-    )
-    values = (
-        jaro_winkler_similarity(left_name_norm, right_name_norm),
-        levenshtein_similarity(left_name_norm, right_name_norm),
-        jaccard_similarity(left_tokens, right_tokens),
-        overlap_coefficient(left_tokens, right_tokens),
-        longest_common_substring_similarity(left_name_norm, right_name_norm),
-        jaro_winkler_similarity(left_stripped, right_stripped),
-        jaccard_similarity(left_stripped.split(), right_stripped.split()),
-        jaccard_similarity(description_tokens_left, description_tokens_right)
-        if description_tokens_left and description_tokens_right
-        else 0.0,
-        1.0 if left_description and right_description else 0.0,
-        _equality_feature(left, right, "city"),
-        _equality_feature(left, right, "region"),
-        _equality_feature(left, right, "country_code"),
-        _equality_feature(left, right, "industry"),
-        _equality_feature(left, right, "security_type"),
-        float(identifier_overlaps),
-        float(identifier_conflicts),
-        isin_overlap,
-        _equality_feature(left, right, "ticker"),
-        1.0 if left.source == right.source else 0.0,
-    )
-    return np.asarray(values, dtype=np.float64)
+from repro.text.normalize import normalize_identifier
 
 
 # -- record strategies --------------------------------------------------------
@@ -222,18 +124,14 @@ class TestProfileEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_profiled_extraction_equals_reference(self, left, right):
         expected = reference_extract(left, right)
-        via_extract = self.extractor.extract(left, right)
-        via_profiles = self.extractor.extract_profiled(
-            build_profile(left), build_profile(right)
-        )
+        via_batch = self.extractor.extract_batch([(left, right)])[0]
         store = ProfileStore.prepare([left, right])
         via_store = self.extractor.extract_batch_profiles(
             store, [(left.record_id, right.record_id)]
         )[0]
         # Bitwise equality, not approx: profiles precompute, they never
         # change a single float.
-        assert np.array_equal(expected, via_extract)
-        assert np.array_equal(expected, via_profiles)
+        assert np.array_equal(expected, via_batch)
         assert np.array_equal(expected, via_store)
 
     @given(st.lists(st.tuples(any_record, any_record), max_size=8))
@@ -242,50 +140,51 @@ class TestProfileEquivalence:
         batch = self.extractor.extract_batch(pairs)
         assert batch.shape == (len(pairs), self.extractor.num_features)
         assert batch.dtype == np.float64
-        for row, (left, right) in zip(batch, pairs):
-            assert np.array_equal(row, reference_extract(left, right))
+        assert batch.tobytes() == reference_features(pairs).tobytes()
 
 
 class TestColumnarBatchEquivalence:
-    """The vectorised store path against the per-pair row oracle.
+    """Both columnar entry points against the per-pair oracle.
 
-    ``extract_batch_profiles`` must be byte-for-byte the matrix
-    ``extract_batch_profiles_rows`` produces — over randomized record
-    mixes, duplicated pairs (the memo/dedup path), repeated extraction
-    (warm caches), and a pickled clone of the store (the worker-shipping
-    path, which drops the memos).
+    ``extract_batch_profiles`` and ``extract_batch`` must be byte for byte
+    the matrix :func:`reference_features` produces — over randomized record
+    mixes, duplicated pairs and records repeated across pairs (the
+    memo/dedup path), repeated extraction (warm caches), and a pickled
+    clone of the store (the worker-shipping path, which drops the memos).
     """
 
     extractor = PairFeatureExtractor()
 
     @given(st.lists(any_record, min_size=1, max_size=10), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_columnar_equals_rows_warm_and_pickled(self, records, data):
+    def test_columnar_equals_reference_warm_and_pickled(self, records, data):
         import pickle
 
         store = ProfileStore.prepare(records)
-        ids = [record.record_id for record in records]
         index_pairs = data.draw(
             st.lists(
                 st.tuples(
-                    st.integers(0, len(ids) - 1), st.integers(0, len(ids) - 1)
+                    st.integers(0, len(records) - 1),
+                    st.integers(0, len(records) - 1),
                 ),
                 max_size=12,
             )
         )
-        id_pairs = [(ids[i], ids[j]) for i, j in index_pairs]
-        id_pairs += id_pairs[:3]  # duplicates exercise the dedup/memo path
+        index_pairs += index_pairs[:3]  # duplicates exercise the dedup/memo path
+        record_pairs = [(records[i], records[j]) for i, j in index_pairs]
+        id_pairs = [(left.record_id, right.record_id) for left, right in record_pairs]
 
-        reference = self.extractor.extract_batch_profiles_rows(store, id_pairs)
+        reference = reference_features(record_pairs).tobytes()
         cold = self.extractor.extract_batch_profiles(store, id_pairs)
         warm = self.extractor.extract_batch_profiles(store, id_pairs)
-        assert cold.tobytes() == reference.tobytes()
-        assert warm.tobytes() == reference.tobytes()
+        assert cold.tobytes() == reference
+        assert warm.tobytes() == reference
+        assert self.extractor.extract_batch(record_pairs).tobytes() == reference
 
         clone = pickle.loads(pickle.dumps(store))
         assert clone.name_similarity_cache == {}  # memos are transient
         rescored = self.extractor.extract_batch_profiles(clone, id_pairs)
-        assert rescored.tobytes() == reference.tobytes()
+        assert rescored.tobytes() == reference
 
     def test_empty_pair_list(self):
         store = ProfileStore.prepare(
@@ -294,8 +193,7 @@ class TestColumnarBatchEquivalence:
         matrix = self.extractor.extract_batch_profiles(store, [])
         assert matrix.shape == (0, self.extractor.num_features)
         assert matrix.dtype == np.float64
-        rows = self.extractor.extract_batch_profiles_rows(store, [])
-        assert rows.shape == matrix.shape
+        assert self.extractor.extract_batch([]).shape == matrix.shape
 
     def test_empty_store_roundtrip(self):
         import pickle
@@ -343,7 +241,7 @@ class TestProfileEdgeCases:
             record_id="s", source="S2", entity_id="e", name="Acme stock",
             isin="US0378331005",
         )
-        vector = self.extractor.extract(company, security)
+        vector = self.extractor.extract_batch([(company, security)])[0]
         names = self.extractor.feature_names()
         assert vector[names.index("identifier_overlap_count")] == 0.0
         assert vector[names.index("identifier_conflict_count")] == 0.0

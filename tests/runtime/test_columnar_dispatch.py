@@ -1,21 +1,19 @@
-"""Columnar dispatch: byte-identical to the object route, at any setting.
+"""The two matching routes: columnar and record pairs, byte-identical.
 
-``RuntimeConfig.columnar_dispatch`` selects whether profiled inference
-chunks run ``score_profiled`` (probability arrays, lazy
-:class:`~repro.matching.decisions.DecisionVector`) or ``decide_profiled``
-(per-pair :class:`~repro.matching.base.MatchDecision` objects).  The
-contract mirrors the profile-cache suite: the knob must never change a
-single bit of the output — decisions, positive edges, groups — at any
-worker count, on either executor, warm pool on or off; matchers without
-the columnar protocol must fall back to the object route transparently.
+``run_matching`` picks the route by the matcher's ``columnar_capable``
+flag.  Columnar matchers score id-pair chunks with ``score_profiled``
+(probability arrays, lazy
+:class:`~repro.matching.decisions.DecisionVector`); the rest score
+record-pair chunks with ``decide_batches``.  The contract: the columnar
+route's decisions equal the matcher's own ``decide`` on the record pairs
+byte for byte — at any worker count, on either executor, warm pool on or
+off — and non-columnar matchers come back as plain decision lists.
 """
 
 import numpy as np
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
-from repro.core.cleanup import CleanupConfig
-from repro.core.pipeline import EntityGroupMatchingPipeline
 from repro.core.precleanup import PreCleanupConfig
 from repro.core.stages import apply_pre_cleanup
 from repro.datagen import GenerationConfig, generate_benchmark
@@ -57,90 +55,71 @@ CONFIGS = [
 ]
 
 
+class RecordPairLogistic(LogisticRegressionMatcher):
+    """A fitted logistic model routed through record pairs, not the store."""
+
+    columnar_capable = False
+
+
+def record_pair_route(matcher):
+    twin = RecordPairLogistic.__new__(RecordPairLogistic)
+    twin.__dict__.update(matcher.__dict__)
+    return twin
+
+
+def record_pairs(companies, candidates):
+    return [
+        (companies.record(c.left_id), companies.record(c.right_id)) for c in candidates
+    ]
+
+
 @pytest.mark.parametrize("config", CONFIGS)
-class TestColumnarOnEqualsOff:
+class TestColumnarEqualsRecordPairs:
     def test_logistic_decisions_bitwise_identical(self, setup, config):
         companies, matcher, _, candidates = setup
-        columnar = run_matching(companies, matcher, candidates,
-                                columnar_dispatch=True, **config)
-        objects = run_matching(companies, matcher, candidates,
-                               columnar_dispatch=False, **config)
+        columnar = run_matching(companies, matcher, candidates, **config)
+        reference = matcher.decide(record_pairs(companies, candidates))
         assert isinstance(columnar, DecisionVector)
-        assert not isinstance(objects, DecisionVector)
         # Element-wise dataclass equality covers ids, verdicts and exact
         # probabilities — both comparison directions go through the vector.
-        assert columnar == objects
-        assert [d.probability for d in columnar] == [d.probability for d in objects]
-        assert [d.is_match for d in columnar] == [d.is_match for d in objects]
+        assert columnar == reference
+        assert [d.probability for d in columnar] == [d.probability for d in reference]
+        assert [d.is_match for d in columnar] == [d.is_match for d in reference]
+
+    def test_record_pair_route_of_the_same_model_is_identical(self, setup, config):
+        # Both routes, one fitted model: chunked record pairs (a profile
+        # store per chunk inside extract_batch) against the dataset-wide
+        # store the columnar route ships once.
+        companies, matcher, _, candidates = setup
+        columnar = run_matching(companies, matcher, candidates, **config)
+        routed = run_matching(companies, record_pair_route(matcher), candidates, **config)
+        assert not isinstance(routed, DecisionVector)
+        assert columnar == routed
+        assert [d.probability for d in columnar] == [d.probability for d in routed]
 
     def test_threshold_matcher_decisions_identical(self, setup, config):
         companies, _, _, candidates = setup
         matcher = ThresholdNameMatcher(similarity_threshold=0.9)
-        columnar = run_matching(companies, matcher, candidates,
-                                columnar_dispatch=True, **config)
-        objects = run_matching(companies, matcher, candidates,
-                               columnar_dispatch=False, **config)
-        assert columnar == objects
+        columnar = run_matching(companies, matcher, candidates, **config)
+        assert isinstance(columnar, DecisionVector)
+        assert columnar == matcher.decide(record_pairs(companies, candidates))
 
-    def test_non_columnar_matcher_falls_back(self, setup, config):
+    def test_non_columnar_matcher_takes_the_record_pair_route(self, setup, config):
         companies, _, _, candidates = setup
         matcher = IdOverlapMatcher()
         assert not matcher.columnar_capable
-        on = run_matching(companies, matcher, candidates,
-                          columnar_dispatch=True, **config)
-        off = run_matching(companies, matcher, candidates,
-                           columnar_dispatch=False, **config)
-        assert not isinstance(on, DecisionVector)
-        assert on == off
+        decisions = run_matching(companies, matcher, candidates, **config)
+        assert not isinstance(decisions, DecisionVector)
+        assert decisions == matcher.decide(record_pairs(companies, candidates))
 
     def test_pre_cleanup_mask_fast_path_identical(self, setup, config):
         companies, matcher, _, candidates = setup
         pre_config = PreCleanupConfig(max_component_size=30)
-        columnar = run_matching(companies, matcher, candidates,
-                                columnar_dispatch=True, **config)
-        objects = run_matching(companies, matcher, candidates,
-                               columnar_dispatch=False, **config)
+        columnar = run_matching(companies, matcher, candidates, **config)
         assert (
             apply_pre_cleanup(columnar, candidates, pre_config)
-            == apply_pre_cleanup(objects, candidates, pre_config)
+            == apply_pre_cleanup(list(columnar), candidates, pre_config)
         )
-
-
-class TestEndToEndPipeline:
-    @pytest.mark.parametrize("runtime_config", [
-        pytest.param(RuntimeConfig(batch_size=64), id="serial"),
-        pytest.param(
-            RuntimeConfig(workers=2, batch_size=64, executor="process"),
-            id="process",
-        ),
-        pytest.param(
-            RuntimeConfig(workers=2, batch_size=64, executor="process",
-                          warm_pool=False),
-            id="process-cold",
-        ),
-    ])
-    def test_groups_identical_with_columnar_on_and_off(self, setup, runtime_config):
-        companies, matcher, blocking, _ = setup
-
-        def run(runtime):
-            pipeline = EntityGroupMatchingPipeline(
-                matcher=matcher,
-                blocking=blocking,
-                cleanup_config=CleanupConfig.for_num_sources(4),
-                pre_cleanup_config=PreCleanupConfig(max_component_size=30),
-                runtime=runtime,
-            )
-            return pipeline.run(companies)
-
-        from dataclasses import replace
-
-        on = run(runtime_config)
-        off = run(replace(runtime_config, columnar_dispatch=False))
-        assert isinstance(on.decisions, DecisionVector)
-        assert on.decisions == off.decisions
-        assert on.positive_edges == off.positive_edges
-        assert on.groups.groups == off.groups.groups
-        assert on.pre_cleanup_groups.groups == off.pre_cleanup_groups.groups
 
 
 class TestDecisionVector:
@@ -220,17 +199,3 @@ class TestMechanics:
                 runtime.run_matching(
                     matcher, companies, candidates, id_pairs=[("a", "b")]
                 )
-
-    def test_config_rejects_non_bool_columnar_dispatch(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(columnar_dispatch="yes")
-
-    def test_spec_roundtrip_keeps_columnar_dispatch(self):
-        from repro.specs.pipeline import RuntimeSpec
-
-        spec = RuntimeSpec(columnar_dispatch=False)
-        assert spec.to_dict() == {"columnar_dispatch": False}
-        parsed = RuntimeSpec.from_dict(spec.to_dict(), "pipeline.runtime")
-        assert parsed.columnar_dispatch is False
-        assert parsed.to_runtime_config().columnar_dispatch is False
-        assert RuntimeSpec().to_dict() == {}  # default on stays implicit

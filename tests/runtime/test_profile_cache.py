@@ -1,23 +1,17 @@
-"""The profiled inference path: byte-identical to record-pair inference.
+"""Mechanics of the columnar route's profile store.
 
-``RuntimeConfig.profile_cache`` selects how ``run_matching`` ships work to
-the pool — per-record profiles prepared once + bare id pairs (on), or the
-record objects themselves (off).  The contract mirrors the sharded-blocking
-suite: the knob must never change a single bit of the output, at any worker
-count, on either executor, and matchers that do not implement the profiled
-protocol must fall back to the record-pair path transparently.
+A columnar matcher's ``prepare_profiles`` runs once per ``run_matching``
+call, however many chunks the candidates split into; the base matcher's
+columnar entry points refuse to run.  Output equality with the record-pair
+route is pinned in ``test_columnar_dispatch.py``.
 """
 
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
-from repro.core.cleanup import CleanupConfig
-from repro.core.pipeline import EntityGroupMatchingPipeline
-from repro.core.precleanup import PreCleanupConfig
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.matching import LogisticRegressionMatcher, ThresholdNameMatcher
 from repro.matching.base import PairwiseMatcher
-from repro.matching.heuristic import IdOverlapMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.runtime import PipelineRuntime, RuntimeConfig
 
@@ -42,78 +36,6 @@ def run_matching(companies, matcher, candidates, **config):
     return runtime.run_matching(matcher, companies, candidates)
 
 
-CONFIGS = [
-    pytest.param({"workers": 1}, id="serial"),
-    pytest.param({"workers": 2, "executor": "thread"}, id="thread"),
-    pytest.param({"workers": 2, "executor": "process"}, id="process"),
-]
-
-
-@pytest.mark.parametrize("config", CONFIGS)
-class TestCacheOnEqualsCacheOff:
-    def test_logistic_decisions_bitwise_identical(self, setup, config):
-        companies, matcher, _, candidates = setup
-        cached = run_matching(companies, matcher, candidates,
-                              profile_cache=True, **config)
-        uncached = run_matching(companies, matcher, candidates,
-                                profile_cache=False, **config)
-        # Dataclass equality covers ids, verdicts and exact probabilities —
-        # the knob trades work for speed, never a single bit of output.
-        assert cached == uncached
-        assert [d.probability for d in cached] == [d.probability for d in uncached]
-
-    def test_threshold_matcher_decisions_identical(self, setup, config):
-        companies, _, _, candidates = setup
-        matcher = ThresholdNameMatcher(similarity_threshold=0.9)
-        cached = run_matching(companies, matcher, candidates,
-                              profile_cache=True, **config)
-        uncached = run_matching(companies, matcher, candidates,
-                                profile_cache=False, **config)
-        assert cached == uncached
-
-    def test_profile_incapable_matcher_falls_back(self, setup, config):
-        companies, _, _, candidates = setup
-        matcher = IdOverlapMatcher()
-        assert not matcher.profile_capable
-        cached = run_matching(companies, matcher, candidates,
-                              profile_cache=True, **config)
-        uncached = run_matching(companies, matcher, candidates,
-                                profile_cache=False, **config)
-        assert cached == uncached
-
-
-class TestEndToEndPipeline:
-    @pytest.mark.parametrize("runtime_config", [
-        pytest.param(RuntimeConfig(batch_size=64, profile_cache=False), id="serial-off"),
-        pytest.param(
-            RuntimeConfig(workers=2, batch_size=64, executor="process",
-                          profile_cache=False),
-            id="process-off",
-        ),
-    ])
-    def test_groups_identical_with_cache_on_and_off(self, setup, runtime_config):
-        companies, matcher, blocking, _ = setup
-
-        def run(runtime):
-            pipeline = EntityGroupMatchingPipeline(
-                matcher=matcher,
-                blocking=blocking,
-                cleanup_config=CleanupConfig.for_num_sources(4),
-                pre_cleanup_config=PreCleanupConfig(max_component_size=30),
-                runtime=runtime,
-            )
-            return pipeline.run(companies)
-
-        from dataclasses import replace
-
-        off = run(runtime_config)
-        on = run(replace(runtime_config, profile_cache=True))
-        assert on.decisions == off.decisions
-        assert on.positive_edges == off.positive_edges
-        assert on.groups.groups == off.groups.groups
-        assert on.pre_cleanup_groups.groups == off.pre_cleanup_groups.groups
-
-
 class TestProfiledPathMechanics:
     def test_empty_candidates_return_no_decisions(self, setup):
         companies, matcher, _, _ = setup
@@ -135,24 +57,7 @@ class TestProfiledPathMechanics:
         # batch_size=32 means many chunks, but the store is prepared once.
         assert CountingMatcher.prepare_calls == 1
 
-    def test_profiled_chunk_shapes_match_record_path(self, setup):
-        # The chunking — and therefore the numeric batch shape a vectorised
-        # matcher sees — depends only on batch_size, not on the route.
-        from repro.runtime import StageProfiler
-
-        companies, matcher, _, candidates = setup
-        profilers = {}
-        for cache in (True, False):
-            profiler = StageProfiler()
-            runtime = PipelineRuntime(RuntimeConfig(batch_size=32, profile_cache=cache))
-            runtime.run_matching(matcher, companies, candidates, profiler)
-            profilers[cache] = [
-                key for key in profiler.as_timings()
-                if key.startswith("pairwise_matching/chunk")
-            ]
-        assert profilers[True] == profilers[False]
-
-    def test_base_matcher_profiled_entry_points_raise(self):
+    def test_base_matcher_columnar_entry_points_raise(self):
         class Plain(PairwiseMatcher):
             def predict_proba(self, pairs):
                 return [0.0 for _ in pairs]
@@ -161,8 +66,4 @@ class TestProfiledPathMechanics:
         with pytest.raises(NotImplementedError):
             plain.prepare_profiles([])
         with pytest.raises(NotImplementedError):
-            plain.decide_profiled(None, [("a", "b")])
-
-    def test_config_rejects_non_bool_profile_cache(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(profile_cache="yes")
+            plain.score_profiled(None, [("a", "b")])

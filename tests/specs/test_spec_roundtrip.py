@@ -37,8 +37,7 @@ def full_pipeline_spec() -> PipelineSpec:
         cleanup=CleanupSpec(strategy="gralmatch", gamma=20, mu=4),
         pre_cleanup=PreCleanupSpec(enabled=True, max_component_size=30),
         runtime=RuntimeSpec(workers=2, batch_size=64, executor="thread",
-                            blocking_shards=3, profile_cache=False,
-                            warm_pool=False),
+                            blocking_shards=3, warm_pool=False),
         state=StateSpec(dir="state/companies", autosave=False),
     )
 
@@ -160,8 +159,10 @@ class TestValidationErrorsNameTheKey:
             ("[pipeline.runtime]\nworkers = -1\n", "pipeline.runtime.workers"),
             ("[pipeline.runtime]\nblocking_shards = 0\n", "pipeline.runtime.blocking_shards"),
             ('[pipeline.runtime]\nblocking_shards = "all"\n', "pipeline.runtime.blocking_shards"),
-            ('[pipeline.runtime]\nprofile_cache = "yes"\n', "pipeline.runtime.profile_cache"),
-            ("[pipeline.runtime]\nprofile_cache = 1\n", "pipeline.runtime.profile_cache"),
+            # The retired matching-route knobs are unknown keys now.
+            ("[pipeline.runtime]\nprofile_cache = true\n", "pipeline.runtime.profile_cache"),
+            ("[pipeline.runtime]\ncolumnar_dispatch = false\n",
+             "pipeline.runtime.columnar_dispatch"),
             ('[pipeline.runtime]\nwarm_pool = "yes"\n', "pipeline.runtime.warm_pool"),
             ("[pipeline.runtime]\nwarm_pool = 0\n", "pipeline.runtime.warm_pool"),
             ("[pipeline.state]\ndir = 5\n", "pipeline.state.dir"),
@@ -209,8 +210,7 @@ class TestBuildPipelineEquivalence:
             cleanup_config=CleanupConfig(gamma=20, mu=4),
             pre_cleanup_config=PreCleanupConfig(enabled=True, max_component_size=30),
             runtime=RuntimeConfig(workers=2, batch_size=64, executor="thread",
-                                  blocking_shards=3, profile_cache=False,
-                                  warm_pool=False),
+                                  blocking_shards=3, warm_pool=False),
         )
         spec = full_pipeline_spec()
         text = getattr(spec, f"to_{fmt}")()

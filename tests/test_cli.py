@@ -31,21 +31,18 @@ class TestParser:
         assert args.batch_size == 2048
         assert args.executor == "process"
         assert args.blocking_shards == 1
-        assert args.profile_cache is True
         assert args.warm_pool is True
 
     def test_match_runtime_flags(self):
         args = build_parser().parse_args([
             "match", "data.csv", "--workers", "4",
             "--batch-size", "512", "--executor", "thread",
-            "--blocking-shards", "8", "--no-profile-cache",
-            "--no-warm-pool",
+            "--blocking-shards", "8", "--no-warm-pool",
         ])
         assert args.workers == 4
         assert args.batch_size == 512
         assert args.executor == "thread"
         assert args.blocking_shards == 8
-        assert args.profile_cache is False
         assert args.warm_pool is False
 
     def test_run_runtime_flags_default_to_unset(self):
@@ -56,21 +53,18 @@ class TestParser:
         assert args.batch_size is None
         assert args.executor is None
         assert args.blocking_shards is None
-        assert args.profile_cache is None
         assert args.warm_pool is None
 
     def test_run_accepts_runtime_flags(self):
         args = build_parser().parse_args([
             "run", "config.toml", "--workers", "3",
             "--batch-size", "128", "--executor", "thread",
-            "--blocking-shards", "4", "--profile-cache",
-            "--warm-pool",
+            "--blocking-shards", "4", "--warm-pool",
         ])
         assert args.workers == 3
         assert args.batch_size == 128
         assert args.executor == "thread"
         assert args.blocking_shards == 4
-        assert args.profile_cache is True
         assert args.warm_pool is True
 
     @pytest.mark.parametrize("flag,value", [
@@ -86,6 +80,17 @@ class TestParser:
             build_parser().parse_args(["match", "data.csv", flag, value])
         assert excinfo.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["match", "run", "ingest"])
+    @pytest.mark.parametrize("flag", [
+        "--profile-cache", "--no-profile-cache",
+        "--columnar-dispatch", "--no-columnar-dispatch",
+    ])
+    def test_retired_matching_route_flags_are_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "input", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_executor_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -259,6 +264,19 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert "experiment.epochs" in capsys.readouterr().err
 
+    def test_run_retired_runtime_key_is_an_unknown_key(self, tmp_path, capsys):
+        # Specs written for the engine's former matching-route knobs fail
+        # cleanly through the unknown-key path, naming the key.
+        config = tmp_path / "experiment.toml"
+        config.write_text(
+            '[experiment]\nkind = "companies"\nmodel = "logistic"\n'
+            "[pipeline.runtime]\nprofile_cache = true\n"
+        )
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "pipeline.runtime.profile_cache: unknown key" in err
+        assert err.count("\n") == 1
+
     def test_run_unknown_model_names_the_key(self, tmp_path, capsys):
         config = tmp_path / "experiment.toml"
         config.write_text('[experiment]\nmodel = "distilbert"\n')
@@ -321,21 +339,6 @@ class TestRunRuntimeOverrides:
         # Untouched flags keep the spec file's values, not the defaults:
         assert runtime.batch_size == 32
         assert runtime.executor == "thread"
-
-    def test_profile_cache_flag_beats_spec_value(self, tmp_path):
-        from repro.api import load_spec
-        from repro.cli import _apply_runtime_overrides
-
-        config = tmp_path / "experiment.toml"
-        config.write_text(self.SPEC + "profile_cache = false\n")
-        # No flag: the spec file's opt-out survives.
-        args = build_parser().parse_args(["run", str(config)])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.profile_cache is False
-        # Explicit flag: CLI beats spec.
-        args = build_parser().parse_args(["run", str(config), "--profile-cache"])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.profile_cache is True
 
     def test_warm_pool_flag_beats_spec_value(self, tmp_path):
         from repro.api import load_spec

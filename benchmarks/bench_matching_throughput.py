@@ -17,10 +17,10 @@ synthetic companies benchmark, in two sections:
     columns (preparation included).
 
 * **run_matching** — end-to-end ``PipelineRuntime.run_matching`` throughput
-  with the trained logistic matcher (the columnar route), warm-pool on/off
-  × workers × executor.  Every row's decisions are asserted **bitwise
-  identical** to the serial reference (same probabilities, same verdicts):
-  the pool mode trades work for speed, never output.  Each row records the
+  with the trained logistic matcher (the columnar route), workers ×
+  executor.  Every row's decisions are asserted **bitwise identical** to
+  the serial reference (same probabilities, same verdicts): the pool
+  trades work for speed, never output.  Each row records the
   effective ``cpu_count`` it ran under, and parallel speedup assertions
   are skipped (and recorded as skipped) when the box has fewer cores than
   workers — a 2-worker row on a 1-core runner measures engine overhead,
@@ -335,7 +335,7 @@ def measure_run_matching(
     batch_size: int,
     repeats: int,
 ) -> list[dict[str, object]]:
-    """Throughput rows: warm-pool on/off × workers × executor.
+    """Throughput rows: workers × executor.
 
     Asserts, for every configuration, that its decisions are bitwise
     identical to the serial reference — probabilities compared exactly,
@@ -353,48 +353,42 @@ def measure_run_matching(
         for executor in executors:
             if workers == 1 and executor != executors[0]:
                 continue  # serial runs don't touch a pool; one row is enough
-            for warm_pool in (True, False):
-                if workers == 1 and not warm_pool:
-                    continue  # no pool either way; one serial row is enough
-                config = RuntimeConfig(
-                    workers=workers, batch_size=batch_size,
-                    executor=executor, warm_pool=warm_pool,
-                )
-                runtime = PipelineRuntime(config)
-                try:
-                    best = float("inf")
-                    decisions = None
-                    for _ in range(repeats):
-                        start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                        decisions = runtime.run_matching(matcher, dataset, candidates)
-                        best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                finally:
-                    runtime.close()
-                assert isinstance(decisions, DecisionVector), "columnar route did not run"
-                if reference is None:
-                    reference = decisions
-                assert decisions == reference, (
-                    f"decisions drifted at workers={workers}, "
-                    f"executor={executor}, warm_pool={warm_pool}"
-                )
-                assert [d.probability for d in decisions] == [
-                    d.probability for d in reference
-                ], "probabilities drifted from the serial reference"
-                throughput = len(candidates) / best
-                if baseline is None:
-                    baseline = throughput
-                rows.append({
-                    "Workers": workers,
-                    "Executor": executor if workers > 1 else "serial",
-                    "Warm pool": "on" if warm_pool else "off",
-                    "Pairs / s": round(throughput, 1),
-                    "Speedup": round(throughput / baseline, 2),
-                    "cpu_count": cpus,
-                    "peak_rss_bytes": peak_rss_bytes(),
-                    # A 2-worker row on a 1-core box measures overhead, not
-                    # parallel speedup — consumers must not gate on it.
-                    "speedup_meaningful": workers <= cpus,
-                })
+            config = RuntimeConfig(
+                workers=workers, batch_size=batch_size, executor=executor
+            )
+            runtime = PipelineRuntime(config)
+            try:
+                best = float("inf")
+                decisions = None
+                for _ in range(repeats):
+                    start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+                    decisions = runtime.run_matching(matcher, dataset, candidates)
+                    best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+            finally:
+                runtime.close()
+            assert isinstance(decisions, DecisionVector), "columnar route did not run"
+            if reference is None:
+                reference = decisions
+            assert decisions == reference, (
+                f"decisions drifted at workers={workers}, executor={executor}"
+            )
+            assert [d.probability for d in decisions] == [
+                d.probability for d in reference
+            ], "probabilities drifted from the serial reference"
+            throughput = len(candidates) / best
+            if baseline is None:
+                baseline = throughput
+            rows.append({
+                "Workers": workers,
+                "Executor": executor if workers > 1 else "serial",
+                "Pairs / s": round(throughput, 1),
+                "Speedup": round(throughput / baseline, 2),
+                "cpu_count": cpus,
+                "peak_rss_bytes": peak_rss_bytes(),
+                # A 2-worker row on a 1-core box measures overhead, not
+                # parallel speedup — consumers must not gate on it.
+                "speedup_meaningful": workers <= cpus,
+            })
     return rows
 
 
@@ -439,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     print(format_table(extraction_rows, title="Feature extraction — single process"))
-    print(format_table(matching_rows, title="run_matching — columnar route, warm / cold pool"))
+    print(format_table(matching_rows, title="run_matching — columnar route"))
     print(f"profile store speedup: {speedups['profile_store_vs_seed']:.2f}x vs seed; "
           f"extract_batch: {speedups['extract_batch_vs_seed']:.2f}x vs seed")
     print("determinism: every configuration == serial reference, bitwise — OK")
@@ -449,7 +443,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # overhead and the assertion is recorded as skipped instead of failed.
     speedup_checks: list[dict[str, object]] = []
     for row in matching_rows:
-        if row["Workers"] == 1 or row["Warm pool"] != "on":
+        if row["Workers"] == 1:
             continue  # one parallel check per workers × executor point
         check = {
             "workers": row["Workers"],

@@ -103,10 +103,10 @@ def build_pipeline(
     or a bare :class:`PipelineSpec` for full manual control.
 
     The returned pipeline owns its execution runtime: under a parallel
-    ``[pipeline.runtime]`` with the (default) warm pool, worker processes
-    persist across :meth:`~repro.core.pipeline.EntityGroupMatchingPipeline.run`
-    calls — call ``pipeline.close()`` when done, or use the pipeline as a
-    context manager.
+    ``[pipeline.runtime]``, worker processes persist across
+    :meth:`~repro.core.pipeline.EntityGroupMatchingPipeline.run` calls —
+    call ``pipeline.close()`` when done, or use the pipeline as a context
+    manager.
     """
     from repro.core.pipeline import EntityGroupMatchingPipeline
 
@@ -190,7 +190,7 @@ def open_state(
     persisted to ``state_dir`` immediately.
 
     Returns an :class:`~repro.incremental.IncrementalMatcher`.  Under a
-    parallel runtime the matcher keeps one warm worker pool (and the
+    parallel runtime the matcher keeps one worker pool (and the
     shipped profile store) alive *across* :func:`ingest` calls — that is
     what makes multi-batch ingestion fast — so close it when done
     (``matcher.close()``) or use it as a context manager.

@@ -43,6 +43,7 @@ from repro.datagen.io import DatasetFormatError, read_dataset_csv, write_dataset
 from repro.datagen.records import Dataset
 from repro.datagen.wdc import WdcConfig, generate_wdc_products
 from repro.evaluation import format_table
+from repro.matching import EmptyTrainingSetError
 from repro.runtime import EXECUTOR_KINDS
 from repro.specs import (
     ExperimentSpec,
@@ -91,7 +92,6 @@ _RUNTIME_FLAG_KEYS = (
     "batch_size",
     "executor",
     "blocking_shards",
-    "warm_pool",
     "trace",
 )
 
@@ -116,13 +116,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser, *, overrides: bool) -> N
                         default=None if overrides else 1,
                         help="record chunks candidate generation is sharded "
                              "into (1 = one task per blocking)")
-    parser.add_argument("--warm-pool", action=argparse.BooleanOptionalAction,
-                        default=None if overrides else True,
-                        help="keep one persistent worker pool across pipeline "
-                             "stages and ingest batches, shipping shared state "
-                             "once per revision (byte-identical output either "
-                             "way; --no-warm-pool restores the pool-per-call "
-                             "engine)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="stream a structured run trace (spans + metrics, "
                              "JSON Lines) to this file; inspect it with "
@@ -312,7 +305,13 @@ def _run_spec(spec: ExperimentSpec, dataset_path: Path,
     dataset = _require_dataset(dataset_path)
     if dataset is None:
         return 2
-    result = run_experiment(spec, dataset=dataset)
+    try:
+        result = run_experiment(spec, dataset=dataset)
+    except EmptyTrainingSetError as error:
+        # A dataset that yields no training pairs is a usage error; any
+        # other ValueError is a bug and keeps its traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(format_table([result.as_row()], title="Entity group matching result"))
     if groups_out is not None:
         written = write_groups_json(result.pipeline_result.groups, groups_out)
@@ -334,7 +333,6 @@ def _command_match(args: argparse.Namespace) -> int:
                     batch_size=args.batch_size,
                     executor=args.executor,
                     blocking_shards=args.blocking_shards,
-                    warm_pool=args.warm_pool,
                     trace=args.trace,
                 ),
             ),
@@ -496,8 +494,8 @@ def _command_ingest(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        # The warm pool deliberately stays live *across* the batch loop (the
-        # whole point of this command's speed), released once here.
+        # The worker pool deliberately stays live *across* the batch loop
+        # (the whole point of this command's speed), released once here.
         if matcher is not None:
             matcher.close()
     if args.groups_out is not None:

@@ -206,7 +206,7 @@ class EntityGroupMatchingExperiment:
         try:
             result = pipeline.run(self.dataset)
         finally:
-            # The pipeline (and its warm worker pool) lives for this one
+            # The pipeline (and its worker pool) lives for this one
             # run; closing is lazy-respawn-safe even for shared runtimes.
             pipeline.close()
         return self._score(spec, pipeline.cleanup_config, result)

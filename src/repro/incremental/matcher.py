@@ -210,10 +210,10 @@ class IncrementalMatcher:
     def close(self) -> None:
         """Release the runtime's persistent worker pool.
 
-        The warm pool (and the shipped profile store) stays live *between*
-        :meth:`ingest` batches on purpose — that is the whole point of the
-        warm pool — so call this when done ingesting, or use the matcher as
-        a context manager.  The matcher stays usable afterwards; the next
+        The pool (and the shipped profile store) stays live *between*
+        :meth:`ingest` batches on purpose — that is the whole point of a
+        persistent pool — so call this when done ingesting, or use the
+        matcher as a context manager.  The matcher stays usable afterwards; the next
         parallel ingest respawns the pool.
         """
         self.runtime.close()

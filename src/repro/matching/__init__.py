@@ -30,7 +30,12 @@ serialised record pair, produce a Match / NoMatch probability.
   loss model selection, timing).
 """
 
-from repro.matching.base import MatchDecision, PairwiseMatcher, ScoredPair
+from repro.matching.base import (
+    EmptyTrainingSetError,
+    MatchDecision,
+    PairwiseMatcher,
+    ScoredPair,
+)
 from repro.matching.decisions import DecisionCache, DecisionVector
 from repro.matching.pairs import LabeledPair, PairSampler, build_labeled_pairs
 from repro.matching.features import PairFeatureExtractor
@@ -42,6 +47,7 @@ from repro.matching.models import MODEL_SPECS, ModelSpec, build_matcher
 from repro.matching.training import FineTuner, FineTuneResult
 
 __all__ = [
+    "EmptyTrainingSetError",
     "MatchDecision",
     "PairwiseMatcher",
     "ScoredPair",

@@ -26,7 +26,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.matching.base import RecordPair, TrainablePairwiseMatcher
+from repro.matching.base import (
+    EmptyTrainingSetError,
+    RecordPair,
+    TrainablePairwiseMatcher,
+)
 from repro.obs import clock
 from repro.matching.features import PairFeatureExtractor
 from repro.matching.nn import (
@@ -307,7 +311,7 @@ class TransformerPairClassifier(TrainablePairwiseMatcher):
         if len(pairs) != len(labels):
             raise ValueError("pairs and labels must have the same length")
         if not pairs:
-            raise ValueError("cannot fit on an empty training set")
+            raise EmptyTrainingSetError()
 
         start_time = clock.now()
 

@@ -166,6 +166,13 @@ class PairwiseMatcher(ABC):
         ]
 
 
+class EmptyTrainingSetError(ValueError):
+    """``fit`` got no labelled pairs, e.g. a corpus with a single record."""
+
+    def __init__(self) -> None:
+        super().__init__("cannot fit on an empty training set")
+
+
 class TrainablePairwiseMatcher(PairwiseMatcher):
     """A matcher that is fine-tuned on labelled pairs before use."""
 

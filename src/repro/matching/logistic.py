@@ -20,7 +20,12 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.datagen.records import Record
-from repro.matching.base import IdPair, RecordPair, TrainablePairwiseMatcher
+from repro.matching.base import (
+    EmptyTrainingSetError,
+    IdPair,
+    RecordPair,
+    TrainablePairwiseMatcher,
+)
 from repro.matching.features import PairFeatureExtractor
 from repro.matching.profiles import ProfileStore
 
@@ -94,7 +99,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         if len(pairs) != len(labels):
             raise ValueError("pairs and labels must have the same length")
         if not pairs:
-            raise ValueError("cannot fit on an empty training set")
+            raise EmptyTrainingSetError()
 
         features = self.extractor.extract_batch(pairs)
         targets = np.asarray(labels, dtype=np.float64)

@@ -21,7 +21,7 @@ over pairs; see :meth:`repro.matching.features.PairFeatureExtractor.extract_batc
 The store mirrors the two-phase protocol of the sharded blocking layer:
 ``prepare(dataset)`` runs once in the parent process, the (picklable) store
 ships to process-pool workers out of band — the pickled payload *is* the
-columnar arrays, shipped once per store revision under the warm pool's
+columnar arrays, shipped once per store revision under the worker pool's
 epoch protocol — and the per-chunk task payload shrinks to bare id pairs.
 :meth:`ProfileStore.add_records` appends rows to every column in place and
 bumps ``revision``, so incremental ingest grows the store instead of
@@ -335,7 +335,7 @@ class ProfileStore:
     read by row index from the per-chunk scoring tasks.  Stores only ever
     grow: :meth:`add_records` appends one row per newly ingested record to
     every column in place — existing rows are never mutated or replaced —
-    and bumps ``revision`` so the warm pool's epoch protocol re-ships the
+    and bumps ``revision`` so the worker pool's epoch protocol re-ships the
     store exactly once per growth step.
 
     Columns (all row-aligned; strings live once in the interned table):
@@ -410,7 +410,7 @@ class ProfileStore:
         self.description_token_seqs = IdSetColumn()
         self.isin_sets = IdSetColumn()
         #: Content revision, bumped whenever :meth:`add_records` grows the
-        #: store.  The warm pool's epoch protocol compares it to decide
+        #: store.  The worker pool's epoch protocol compares it to decide
         #: whether an already-shipped store is still current — a store
         #: therefore ships once per revision, not once per matching call.
         self.revision = 0

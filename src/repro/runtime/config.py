@@ -11,10 +11,6 @@ and pairwise inference) into chunks and fans them out over a
 * ``blocking_shards`` splits candidate generation itself into record chunks
   (shared index built once, per-chunk scoring fanned out), so a single
   blocking scales beyond one core,
-* ``warm_pool`` keeps one persistent worker pool alive across stage calls,
-  pipeline runs and ingest batches, shipping shared payloads through the
-  epoch protocol (once per state revision) instead of re-spawning the pool
-  and re-pickling the payload per call,
 * ``trace`` streams a structured run trace to a JSON Lines file.
 
 Which matching route runs is not a knob: the matcher's ``columnar_capable``
@@ -53,15 +49,6 @@ class RuntimeConfig:
     #: per-chunk results merge in record order, so the candidates are
     #: byte-identical to the serial run.
     blocking_shards: int = 1
-    #: Keep one persistent worker pool per runtime, spawned lazily and
-    #: reused across stage calls, pipeline runs and incremental-ingest
-    #: batches; shared payloads (profile store + matcher, blocking shared
-    #: index) ship to process workers through the epoch protocol — pickled
-    #: once per state revision, cached worker-side — instead of riding the
-    #: pool initializer on every call.  ``False`` restores the historical
-    #: pool-per-call engine.  Results are byte-identical either way; this
-    #: knob trades resident worker processes for latency, never results.
-    warm_pool: bool = True
     #: Stream a structured run trace (spans + metrics, JSON Lines) to this
     #: path; ``None`` (the default) installs the no-op recorder and the
     #: engine does no observability work at all.  Like every other knob,
@@ -84,19 +71,15 @@ class RuntimeConfig:
             raise ValueError(
                 f"blocking_shards must be a positive integer, got {self.blocking_shards}"
             )
-        if not isinstance(self.warm_pool, bool):
-            raise ValueError(
-                f"warm_pool must be a boolean, got {self.warm_pool!r}"
-            )
         if self.trace is not None and not isinstance(self.trace, str):
             raise ValueError(
                 f"trace must be a path string or None, got {self.trace!r}"
             )
 
     def __setstate__(self, state: dict) -> None:
-        # Configs pickled into match states before the two matching-route
-        # knobs were retired still carry them as attributes; restore the
-        # current fields only.
+        # Configs pickled into match states before the matching-route and
+        # pool-mode knobs were retired still carry them as attributes;
+        # restore the current fields only.
         for spec in fields(self):
             if spec.name in state:
                 object.__setattr__(self, spec.name, state[spec.name])
@@ -104,8 +87,3 @@ class RuntimeConfig:
     @property
     def is_parallel(self) -> bool:
         return self.workers > 1
-
-    @classmethod
-    def serial(cls, batch_size: int = 2048) -> "RuntimeConfig":
-        """The serial engine (explicit spelling of the default)."""
-        return cls(workers=1, batch_size=batch_size)

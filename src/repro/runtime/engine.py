@@ -21,9 +21,8 @@ data-parallel stages here:
   routes picked by the matcher's ``columnar_capable`` flag.  Columnar
   matchers get their
   :meth:`~repro.matching.base.PairwiseMatcher.prepare_profiles` run once
-  here in the parent; the store ships to each worker out of band — via the
-  warm pool's epoch protocol (once per state revision) or, under
-  ``warm_pool=False``, via the per-call pool initializer — chunk tasks
+  here in the parent; the store ships to each worker out of band through
+  the pool's epoch protocol (once per state revision), chunk tasks
   carry bare id pairs, run the matcher's vectorised ``score_profiled``
   kernel and return float64 probability arrays, and the engine hands back
   a lazy :class:`~repro.matching.decisions.DecisionVector`, so no per-pair
@@ -34,7 +33,7 @@ data-parallel stages here:
   point.
 
 The runtime owns one persistent :class:`~repro.runtime.pool.WorkerPool`
-(via its scheduler) when ``warm_pool`` is on: spawned lazily on the first
+(via its scheduler): spawned lazily on the first
 parallel stage, reused across stage calls, pipeline runs and incremental
 batches, released by :meth:`PipelineRuntime.close` (or the context-manager
 protocol) — after which the next parallel call simply respawns it.
@@ -110,8 +109,7 @@ class _BlockingPlan:
     dataset's records (present when any task is sharded), ``dataset`` the
     full dataset (present only when some part runs unsharded).  Everything
     bulky rides here — shipped to process workers out of band (pickled once
-    per epoch under the warm pool, once per worker via the cold-pool
-    initializer) — so the per-task payload is just a pair of indexes.
+    per epoch) — so the per-task payload is just a pair of indexes.
     """
 
     parts: tuple[Blocking, ...]
@@ -227,7 +225,7 @@ class PipelineRuntime:
         self.close()
 
     def pool_stats(self) -> dict[str, int] | None:
-        """Snapshot of the warm pool's cost counters (``None`` if no pool).
+        """Snapshot of the worker pool's cost counters (``None`` if no pool).
 
         Exposes spawn/publish/fetch counts so benchmarks and tests can
         prove that pools spawn once and payloads ship once per revision.
@@ -354,8 +352,8 @@ class PipelineRuntime:
         picks the route:
 
         * **columnar** — the matcher prepares its per-record profiles once,
-          matcher + store ship to each worker out of band (epoch protocol
-          or initializer), chunk tasks carry bare id pairs, run
+          matcher + store ship to each worker out of band (epoch
+          protocol), chunk tasks carry bare id pairs, run
           :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` and
           return float64 probability arrays; the concatenated vector comes
           back as a lazy :class:`~repro.matching.decisions.DecisionVector`

@@ -7,24 +7,17 @@ indistinguishable from serial execution for any per-chunk-pure function.
 Out-of-order completion never leaks into results, which is what makes the
 parallel pipeline byte-identical to the serial one.
 
-Two pooled execution modes exist, selected by ``RuntimeConfig.warm_pool``:
+Pooled calls run on one persistent :class:`~repro.runtime.pool.WorkerPool`
+per scheduler, spawned lazily, sized once from ``config.workers`` and reused
+across calls.  Shared payloads ship to process workers through the epoch
+protocol (pickled once per payload revision, fetched and cached
+worker-side); thread workers read them by reference.
 
-* **warm** (the default) — one persistent :class:`~repro.runtime.pool.WorkerPool`
-  per scheduler, spawned lazily, sized once from ``config.workers`` and
-  reused across calls; shared payloads ship to process workers through the
-  epoch protocol (pickled once per payload revision, fetched and cached
-  worker-side), thread workers read them by reference,
-* **cold** (``warm_pool=False``) — the historical behaviour: a fresh
-  executor per call, sized ``min(workers, num_tasks)``, shared payloads
-  shipped through the process-pool initializer.
-
-Both modes produce byte-identical results; the golden suites sweep them.
-
-Failure protocol (both modes): the first worker exception — earliest by
-submission order among the failed tasks — is re-raised as-is, every not-yet
--running task is cancelled, and the pool is shut down (``cancel_futures``)
-so no in-flight chunk outlives the call that submitted it.  A warm pool is
-disposed, not closed: the next call respawns fresh workers.
+Failure protocol: the first worker exception — earliest by submission order
+among the failed tasks — is re-raised as-is, every not-yet-running task is
+cancelled, and the pool is disposed (``cancel_futures``) so no in-flight
+chunk outlives the call that submitted it.  Disposal is not closing: the
+next call respawns fresh workers.
 
 Worker functions used with the process pool must be picklable: module-level
 functions (optionally wrapped in :func:`functools.partial`) qualify,
@@ -33,14 +26,7 @@ closures and lambdas do not.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, Future, wait
 from functools import partial
 from collections.abc import Callable, Sequence
 from typing import Any, TypeVar
@@ -119,28 +105,10 @@ def timed_call(fn: Callable[[T], R], chunk: T) -> tuple[R, float, float]:
     return result, start, clock.now()
 
 
-#: Per-worker shared state installed by the process-pool initializer (cold
-#: mode only), so a large shared object is pickled once per *worker*
-#: instead of once per *chunk task*.
-_worker_shared: Any = None
-
-
-def _install_shared(value: Any) -> None:
-    global _worker_shared
-    _worker_shared = value
-
-
-def _timed_shared_call(
-    fn: Callable[[Any, T], R], chunk: T
-) -> tuple[R, float, float]:
-    """Cold-mode worker task: ``fn(shared, chunk)`` with initializer state."""
-    return timed_call(partial(fn, _worker_shared), chunk)
-
-
 def _timed_epoch_call(
     fn: Callable[[Any, T], R], slot: str, epoch: int, path: str, chunk: T
 ) -> tuple[R, float, float, bool]:
-    """Warm-mode worker task: fetch the epoch payload, then ``fn(payload, chunk)``.
+    """Process-pool worker task: fetch the epoch payload, then ``fn(payload, chunk)``.
 
     Returns ``(result, start, end, fetched)`` — ``fetched`` tells the parent
     whether this task actually loaded the payload (at most once per worker
@@ -173,19 +141,7 @@ class ChunkScheduler:
 
     @property
     def pool(self) -> WorkerPool | None:
-        """The persistent pool (``None`` until the first warm pooled call)."""
-        return self._pool
-
-    def warm_pool(self) -> WorkerPool:
-        """The persistent pool, created lazily — once per scheduler.
-
-        Sized from ``config.workers`` exactly; never resized or rebuilt
-        because a call happens to carry fewer chunks than there are slots.
-        """
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.config.executor, self.config.workers, recorder=self.recorder
-            )
+        """The persistent pool (``None`` until the first pooled call)."""
         return self._pool
 
     def close(self) -> None:
@@ -203,33 +159,6 @@ class ChunkScheduler:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # -- executors ---------------------------------------------------------
-
-    def _make_executor(self, num_tasks: int, initializer_state: Any = None) -> Executor:
-        # Cold mode only: the pool lives for one map_chunks call, and the
-        # process-pool initializer binds the workers to this call's shared
-        # state.  The per-call ``min(workers, num_tasks)`` clamp is safe
-        # here precisely because the pool is discarded afterwards — a warm
-        # pool is sized once from the config instead (see WorkerPool).
-        workers = min(self.config.workers, num_tasks)
-        if self.recorder.enabled:
-            self.recorder.event(
-                "pool.spawn",
-                executor=self.config.executor,
-                workers=workers,
-                mode="cold",
-            )
-            self.recorder.metrics.add("pool.spawns")
-        if self.config.executor == "process":
-            if initializer_state is not None:
-                return ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_install_shared,
-                    initargs=(initializer_state,),
-                )
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers)
 
     def _should_pool(self, num_tasks: int) -> bool:
         return self.config.is_parallel and num_tasks > 1
@@ -253,10 +182,9 @@ class ChunkScheduler:
 
         Without ``shared``, ``fn`` is called as ``fn(chunk)``.  With
         ``shared``, ``fn`` is called as ``fn(shared, chunk)`` and the shared
-        object ships to process-pool workers out of band — via the epoch
-        protocol under a warm pool (pickled once per payload revision), via
-        the pool initializer in cold mode (once per worker per call) —
-        while thread and serial execution pass it by reference for free.
+        object ships to process-pool workers out of band through the epoch
+        protocol (pickled once per payload revision), while thread and
+        serial execution pass it by reference for free.
 
         ``shared_anchors`` / ``shared_version`` identify the payload's
         revision for epoch reuse (see :meth:`WorkerPool.publish`); ``slot``
@@ -281,33 +209,19 @@ class ChunkScheduler:
                 self._record(profiler, stage, start, end, result, items)
                 results.append(result)
             return results
-        if self.config.warm_pool:
-            return self._map_warm(
-                fn, bound, chunks, stage, profiler, shared,
-                shared_anchors, shared_version, slot or stage or "shared", items,
+        if self._pool is None:
+            # Created lazily, once per scheduler, and sized from
+            # ``config.workers`` exactly: never resized or rebuilt because a
+            # call happens to carry fewer chunks than there are slots.
+            self._pool = WorkerPool(
+                self.config.executor, self.config.workers, recorder=self.recorder
             )
-        return self._map_cold(fn, bound, chunks, stage, profiler, shared, items)
-
-    # -- warm mode ---------------------------------------------------------
-
-    def _map_warm(
-        self,
-        fn: Callable[..., Any],
-        bound: Callable[..., Any],
-        chunks: Sequence[Any],
-        stage: str | None,
-        profiler: StageProfiler | None,
-        shared: Any,
-        shared_anchors: tuple[Any, ...] | None,
-        shared_version: Any,
-        slot: str,
-        items: Callable[[Any], int] | None,
-    ) -> list[Any]:
-        pool = self.warm_pool()
+        pool = self._pool
         executor = pool.executor
         # Only process pools need payloads shipped; threads share memory.
         use_epochs = shared is not None and self.config.executor == "process"
         if use_epochs:
+            slot = slot or stage or "shared"
             published = pool.publish(
                 slot, shared, anchors=shared_anchors, version=shared_version
             )
@@ -342,44 +256,6 @@ class ChunkScheduler:
                 self.recorder.metrics.add("pool.payload.misses", fetches)
                 self.recorder.metrics.add("pool.payload.hits", len(raw) - fetches)
         return results
-
-    # -- cold mode (per-call pools, the pre-warm-pool behaviour) -----------
-
-    def _map_cold(
-        self,
-        fn: Callable[..., Any],
-        bound: Callable[..., Any],
-        chunks: Sequence[Any],
-        stage: str | None,
-        profiler: StageProfiler | None,
-        shared: Any,
-        items: Callable[[Any], int] | None,
-    ) -> list[Any]:
-        # Decided once: process pools receive `shared` through the worker
-        # initializer (pickled once per worker) and tasks fetch it from
-        # worker state; all other routes carry it by reference via `bound`.
-        use_initializer = shared is not None and self.config.executor == "process"
-        executor = self._make_executor(
-            len(chunks), initializer_state=shared if use_initializer else None
-        )
-        try:
-            futures: list[Future] = [
-                executor.submit(_timed_shared_call, fn, chunk)
-                if use_initializer
-                else executor.submit(timed_call, bound, chunk)
-                for chunk in chunks
-            ]
-            raw = self._collect(
-                futures,
-                on_error=lambda: executor.shutdown(wait=True, cancel_futures=True),
-            )
-            results = []
-            for result, start, end in raw:
-                self._record(profiler, stage, start, end, result, items)
-                results.append(result)
-            return results
-        finally:
-            executor.shutdown(wait=True)
 
     # -- shared plumbing ---------------------------------------------------
 

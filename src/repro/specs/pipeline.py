@@ -150,7 +150,6 @@ class RuntimeSpec:
     batch_size: int = 2048
     executor: str = "process"
     blocking_shards: int = 1
-    warm_pool: bool = True
     trace: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -163,8 +162,6 @@ class RuntimeSpec:
             data["executor"] = self.executor
         if self.blocking_shards != 1:
             data["blocking_shards"] = self.blocking_shards
-        if not self.warm_pool:
-            data["warm_pool"] = False
         if self.trace is not None:
             data["trace"] = self.trace
         return data
@@ -179,7 +176,6 @@ class RuntimeSpec:
                 "batch_size",
                 "executor",
                 "blocking_shards",
-                "warm_pool",
                 "trace",
             },
             key,
@@ -201,9 +197,6 @@ class RuntimeSpec:
             blocking_shards=_expect_int(
                 table.get("blocking_shards", 1), f"{key}.blocking_shards", minimum=1
             ),
-            warm_pool=_expect_bool(
-                table.get("warm_pool", True), f"{key}.warm_pool"
-            ),
             trace=trace,
         )
 
@@ -215,7 +208,6 @@ class RuntimeSpec:
             batch_size=self.batch_size,
             executor=self.executor,
             blocking_shards=self.blocking_shards,
-            warm_pool=self.warm_pool,
             trace=self.trace,
         )
 

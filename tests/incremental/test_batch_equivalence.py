@@ -70,32 +70,29 @@ class TestPartitionInvariance:
         assert_equals_batch(matcher, batch_result)
 
 
-#: The warm-pool sweep axes: executor flavour × pool mode.  ``serial`` never
-#: spawns a pool, so warm/cold is a no-op there — included to pin exactly
-#: that.
-WARM_SWEEP = [
-    pytest.param(RuntimeConfig(batch_size=64, warm_pool=warm), id=f"serial-{mode}")
-    for warm, mode in ((True, "warm"), (False, "cold"))
-] + [
+#: The pool sweep axes: executor flavour × blocking sharding (``serial``
+#: never spawns a pool).  Unsharded, blocking runs one task per part and
+#: the pool serves the other stages; three shards on two workers give more
+#: blocking tasks than workers.
+POOL_SWEEP = [pytest.param(RuntimeConfig(batch_size=64), id="serial")] + [
     pytest.param(
         RuntimeConfig(
-            workers=2, batch_size=64, executor=executor,
-            blocking_shards=4, warm_pool=warm,
+            workers=2, batch_size=64, executor=executor, blocking_shards=shards
         ),
-        id=f"{executor}-{mode}",
+        id=f"{executor}-{label}",
     )
     for executor in ("thread", "process")
-    for warm, mode in ((True, "warm"), (False, "cold"))
+    for shards, label in ((1, "unsharded"), (3, "sharded"))
 ]
 
 
-@pytest.mark.parametrize("runtime", WARM_SWEEP)
+@pytest.mark.parametrize("runtime", POOL_SWEEP)
 @pytest.mark.parametrize("num_batches", [1, 2, 7])
-class TestWarmPoolInvariance:
-    def test_pool_mode_is_invisible_in_the_artefacts(
+class TestPoolInvariance:
+    def test_pool_is_invisible_in_the_artefacts(
         self, golden_setup, pipeline_factory, batch_result, runtime, num_batches
     ):
-        """Warm-pool {on,off} × executor × partition → byte-identical output.
+        """Executor × partition → byte-identical output.
 
         The persistent pool and the epoch protocol only change *where* work
         runs and *how* shared state travels — candidates, decisions and
@@ -114,7 +111,7 @@ class TestWarmPoolAcrossBatches:
     def test_one_pool_and_one_store_ship_per_revision(
         self, golden_setup, pipeline_factory, batch_result
     ):
-        """The warm pool's cost structure across a multi-batch ingest.
+        """The pool's cost structure across a multi-batch ingest.
 
         The pool spawns once for the whole ingest sequence, and the
         persistent profile store is re-shipped only when a batch actually

@@ -250,9 +250,10 @@ class TestFormatMigration:
     def test_runtime_config_with_retired_knobs_loads_and_ingests(
         self, golden_setup, batch_result, saved_state
     ):
-        # Every state saved before the matching-route knobs were retired
-        # pickled them as RuntimeConfig attributes; such a state loads (no
-        # format bump), drops them, and ingests onward to the batch groups.
+        # Every state saved before the matching-route and pool-mode knobs
+        # were retired pickled them as RuntimeConfig attributes; such a state
+        # loads (no format bump), drops them, and ingests onward to the batch
+        # groups.
         from repro.runtime import RuntimeConfig
         from tests.incremental.test_batch_equivalence import assert_equals_batch
 
@@ -265,14 +266,17 @@ class TestFormatMigration:
         legacy = components["runtime_config"]
         object.__setattr__(legacy, "profile_cache", True)
         object.__setattr__(legacy, "columnar_dispatch", True)
+        object.__setattr__(legacy, "warm_pool", False)
         components_path.write_bytes(
             pickle.dumps(components, protocol=pickle.HIGHEST_PROTOCOL)
         )
         assert b"columnar_dispatch" in components_path.read_bytes()
+        assert b"warm_pool" in components_path.read_bytes()
 
         reloaded = IncrementalMatcher.load(state_dir)
         assert reloaded.state.runtime_config == matcher.state.runtime_config
         assert not hasattr(reloaded.state.runtime_config, "profile_cache")
+        assert not hasattr(reloaded.state.runtime_config, "warm_pool")
         assert vars(reloaded.state.runtime_config) == vars(RuntimeConfig())
         reloaded.ingest(companies.records[100:])
         matcher.ingest(companies.records[100:])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference_features import reference_features
 
+from repro.matching import EmptyTrainingSetError
 from repro.matching.attention import TransformerPairClassifier
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.text.serialize import DittoSerializer, PlainSerializer
@@ -51,7 +52,7 @@ class TestConstruction:
 
 class TestTraining:
     def test_fit_requires_data(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyTrainingSetError):
             small_model().fit([], [])
 
     def test_fit_rejects_length_mismatch(self, companies):

@@ -5,6 +5,7 @@ import pytest
 from reference_features import reference_features
 
 from repro.datagen.records import CompanyRecord, SecurityRecord
+from repro.matching import EmptyTrainingSetError
 from repro.matching.features import EXTRACTION_BLOCK, PairFeatureExtractor
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
@@ -113,7 +114,7 @@ class TestLogisticRegressionMatcher:
             LogisticRegressionMatcher().feature_importances()
 
     def test_fit_requires_data(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyTrainingSetError):
             LogisticRegressionMatcher().fit([], [])
 
     def test_fit_rejects_bad_labels(self, companies):

@@ -6,8 +6,7 @@ flag.  Columnar matchers score id-pair chunks with ``score_profiled``
 :class:`~repro.matching.decisions.DecisionVector`); the rest score
 record-pair chunks with ``decide_batches``.  The contract: the columnar
 route's decisions equal the matcher's own ``decide`` on the record pairs
-byte for byte — at any worker count, on either executor, warm pool on or
-off — and non-columnar matchers come back as plain decision lists.
+byte for byte — at any worker count, on either executor — and non-columnar matchers come back as plain decision lists.
 """
 
 import numpy as np
@@ -48,10 +47,6 @@ CONFIGS = [
     pytest.param({"workers": 1}, id="serial"),
     pytest.param({"workers": 2, "executor": "thread"}, id="thread"),
     pytest.param({"workers": 2, "executor": "process"}, id="process"),
-    pytest.param({"workers": 2, "executor": "process", "warm_pool": False},
-                 id="process-cold"),
-    pytest.param({"workers": 2, "executor": "thread", "warm_pool": False},
-                 id="thread-cold"),
 ]
 
 

@@ -20,6 +20,11 @@ def double_all(chunk):
     return [value * 2 for value in chunk]
 
 
+def add_offset(shared, chunk):
+    """Shared-payload worker fn (module-level, picklable)."""
+    return [value + shared["offset"] for value in chunk]
+
+
 class TestRuntimeConfig:
     def test_defaults_are_serial(self):
         config = RuntimeConfig()
@@ -69,10 +74,19 @@ class TestChunkScheduler:
         ],
         ids=["serial", "thread", "process"],
     )
-    def test_results_preserve_chunk_order(self, config):
+    @pytest.mark.parametrize(
+        "fn, shared, expected",
+        [
+            (double_all, None, [v * 2 for v in range(57)]),
+            (add_offset, {"offset": 100}, [v + 100 for v in range(57)]),
+        ],
+        ids=["plain", "shared-payload"],
+    )
+    def test_results_preserve_chunk_order(self, config, fn, shared, expected):
         chunks = chunked(list(range(57)), 10)
-        results = ChunkScheduler(config).map_chunks(double_all, chunks)
-        assert [v for chunk in results for v in chunk] == [v * 2 for v in range(57)]
+        with ChunkScheduler(config) as scheduler:
+            results = scheduler.map_chunks(fn, chunks, shared=shared)
+        assert [v for chunk in results for v in chunk] == expected
 
     def test_empty_chunk_list(self):
         assert ChunkScheduler(RuntimeConfig(workers=4)).map_chunks(double_all, []) == []

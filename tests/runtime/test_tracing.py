@@ -33,13 +33,9 @@ def workload():
 ENGINE_CONFIGS = [
     pytest.param(RuntimeConfig(batch_size=64), id="serial"),
     pytest.param(RuntimeConfig(workers=2, executor="thread", batch_size=64),
-                 id="thread-warm"),
-    pytest.param(RuntimeConfig(workers=2, executor="thread", batch_size=64,
-                               warm_pool=False), id="thread-cold"),
+                 id="thread"),
     pytest.param(RuntimeConfig(workers=2, executor="process", batch_size=64),
-                 id="process-warm"),
-    pytest.param(RuntimeConfig(workers=2, executor="process", batch_size=64,
-                               warm_pool=False), id="process-cold"),
+                 id="process"),
 ]
 
 
@@ -98,7 +94,7 @@ class TestChunkSpans:
 
 
 class TestPoolEvents:
-    def test_warm_pool_spawn_and_publish_events(self, workload):
+    def test_pool_spawn_and_publish_events(self, workload):
         dataset, matcher, candidates = workload
         recorder = TraceRecorder()
         config = RuntimeConfig(workers=2, executor="process", batch_size=64)
@@ -113,8 +109,7 @@ class TestPoolEvents:
                                      profiler=profiler, profiles=profiles)
         trace = recorder.trace()
         (spawn,) = trace.find("pool.spawn")
-        assert spawn.attributes == {"executor": "process", "workers": 2,
-                                    "mode": "warm"}
+        assert spawn.attributes == {"executor": "process", "workers": 2}
         (publish,) = trace.find("pool.publish")
         assert publish.attributes["slot"] == "pairwise_matching"
         assert publish.attributes["payload_bytes"] > 0
@@ -126,20 +121,6 @@ class TestPoolEvents:
         assert counters["pool.publishes"] == 1
         assert counters["pool.publish_reuses"] == 1
         assert counters["pool.publish_bytes"] == publish.attributes["payload_bytes"]
-
-    def test_cold_pool_spawns_per_call(self, workload):
-        dataset, matcher, candidates = workload
-        recorder = TraceRecorder()
-        config = RuntimeConfig(workers=2, executor="thread", batch_size=64,
-                               warm_pool=False)
-        with PipelineRuntime(config, recorder=recorder) as runtime:
-            runtime.run_matching(matcher, dataset, candidates)
-            runtime.run_matching(matcher, dataset, candidates)
-        trace = recorder.trace()
-        spawns = trace.find("pool.spawn")
-        assert len(spawns) == 2
-        assert all(s.attributes["mode"] == "cold" for s in spawns)
-        assert trace.counters["pool.spawns"] == 2
 
 
 class TestTracedEqualsUntraced:

@@ -1,16 +1,16 @@
 """The persistent worker pool and the shared-state epoch protocol.
 
-Covers the three bugfix contracts of the warm-pool engine:
+Covers the three bugfix contracts of the persistent-pool engine:
 
 * **failure semantics** — a chunk task that raises mid-batch surfaces the
   *original* exception (first by submission order), cancels the remaining
   work, and leaves the pool disposed-but-usable — under thread and process
-  executors, warm and cold,
-* **sizing** — a warm pool is sized once from ``RuntimeConfig.workers`` and
+  executors,
+* **sizing** — the pool is sized once from ``RuntimeConfig.workers`` and
   is never rebuilt because a call carries fewer (or more) chunks than there
   are slots,
 * **staleness** — consecutive ``run_matching`` calls with *different*
-  profile stores on the same warm pool must score from the new store
+  profile stores on the same pool must score from the new store
   (epoch bump), while an unchanged store is reused without re-shipping.
 """
 
@@ -40,54 +40,67 @@ def explode_on_negative(chunk):
 
 
 def shared_explode_on_negative(shared, chunk):
-    """Shared-payload variant, exercising the epoch/initializer path."""
+    """Shared-payload variant, exercising the epoch path."""
     assert shared == "payload"
     return explode_on_negative(chunk)
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
-@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
 class TestFailureSemantics:
-    def config(self, executor, warm):
-        return RuntimeConfig(workers=2, executor=executor, warm_pool=warm)
+    def scheduler(self, executor, reused):
+        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor=executor))
+        if reused:
+            # A pool that already served a call and holds a published
+            # payload epoch must fail, dispose and recover the same way as
+            # one spawned by the failing call itself.
+            results = scheduler.map_chunks(
+                shared_explode_on_negative, [[1], [2]], shared="payload"
+            )
+            assert results == [[2], [4]]
+            assert scheduler.pool.stats.spawns == 1
+        return scheduler
 
-    def test_reraises_the_original_worker_exception(self, executor, warm):
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_reraises_the_original_worker_exception(self, executor, reused):
+        scheduler = self.scheduler(executor, reused)
         chunks = [[1, 2], [3, -4], [5, 6], [7, 8]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[3, -4\]"):
             scheduler.map_chunks(explode_on_negative, chunks)
         scheduler.close()
 
-    def test_reraises_with_a_shared_payload(self, executor, warm):
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_reraises_with_a_shared_payload(self, executor, reused):
+        scheduler = self.scheduler(executor, reused)
         chunks = [[1, 2], [-3], [5, 6]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[-3\]"):
             scheduler.map_chunks(shared_explode_on_negative, chunks, shared="payload")
         scheduler.close()
 
-    def test_first_failure_by_submission_order_wins(self, executor, warm):
+    def test_first_failure_by_submission_order_wins(self, executor, reused):
         # Two poisoned chunks: whichever *finishes* first must not decide —
         # the earliest submitted failure is the one re-raised.
-        scheduler = ChunkScheduler(self.config(executor, warm))
+        scheduler = self.scheduler(executor, reused)
         chunks = [[1], [-2], [3], [-4]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[-2\]"):
             scheduler.map_chunks(explode_on_negative, chunks)
         scheduler.close()
 
-    def test_pool_is_usable_after_a_failure(self, executor, warm):
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_pool_is_usable_after_a_failure(self, executor, reused):
+        scheduler = self.scheduler(executor, reused)
         with pytest.raises(ChunkExploded):
             scheduler.map_chunks(explode_on_negative, [[1], [-1], [2]])
         # The next call must succeed on a fresh (respawned) pool.
         chunks = chunked(list(range(20)), 5)
         results = scheduler.map_chunks(explode_on_negative, chunks)
         assert [v for chunk in results for v in chunk] == [v * 2 for v in range(20)]
+        # Published epochs survive disposal: respawned workers re-fetch them.
+        results = scheduler.map_chunks(
+            shared_explode_on_negative, [[3], [4]], shared="payload"
+        )
+        assert results == [[6], [8]]
         scheduler.close()
 
-    def test_failure_disposes_the_warm_executor(self, executor, warm):
-        if not warm:
-            pytest.skip("cold pools are per-call by construction")
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_failure_disposes_the_executor(self, executor, reused):
+        scheduler = self.scheduler(executor, reused)
         with pytest.raises(ChunkExploded):
             scheduler.map_chunks(explode_on_negative, [[1], [-1]])
         pool = scheduler.pool
@@ -98,7 +111,7 @@ class TestFailureSemantics:
         scheduler.close()
 
 
-class TestWarmPoolSizing:
+class TestPoolSizing:
     def test_sized_from_config_not_task_count(self):
         scheduler = ChunkScheduler(RuntimeConfig(workers=4, executor="thread"))
         scheduler.map_chunks(explode_on_negative, [[1], [2]])
@@ -240,14 +253,14 @@ class TestProfileStoreStaleness:
         store_a = matcher.prepare_profiles(dataset_a.records)
         store_b = matcher.prepare_profiles(dataset_b.records)
         try:
-            warm_a = runtime.run_matching(
+            pooled_a = runtime.run_matching(
                 matcher, dataset_a, candidates_a, profiles=store_a
             )
-            warm_b = runtime.run_matching(
+            pooled_b = runtime.run_matching(
                 matcher, dataset_b, candidates_b, profiles=store_b
             )
-            assert warm_a == serial_a
-            assert warm_b == serial_b
+            assert pooled_a == serial_a
+            assert pooled_b == serial_b
             stats = runtime.pool_stats()
             assert stats["publishes"] == 2  # one epoch per store
         finally:
@@ -296,3 +309,24 @@ class TestProfileStoreStaleness:
             assert runtime.pool_stats()["publishes"] == 2
         finally:
             runtime.close()
+
+
+class TestRuntimePoolStats:
+    def test_serial_runtime_never_spawns_a_pool(self, matching_setup):
+        # Many chunks on one worker all run inline: there is no pool to report.
+        matcher, dataset_a, _, candidates_a, _ = matching_setup
+        assert len(candidates_a) > 16
+        with PipelineRuntime(RuntimeConfig(batch_size=16)) as runtime:
+            runtime.run_matching(matcher, dataset_a, candidates_a)
+            assert runtime.pool_stats() is None
+
+    def test_pool_stats_follow_the_pool_lifecycle(self, matching_setup):
+        matcher, dataset_a, _, candidates_a, _ = matching_setup
+        runtime = PipelineRuntime(
+            RuntimeConfig(workers=2, executor="thread", batch_size=16)
+        )
+        assert runtime.pool_stats() is None  # spawned lazily ...
+        runtime.run_matching(matcher, dataset_a, candidates_a)
+        assert runtime.pool_stats()["spawns"] == 1  # ... by the first pooled call
+        runtime.close()
+        assert runtime.pool_stats() is None  # closing drops the pool

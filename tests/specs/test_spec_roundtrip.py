@@ -5,6 +5,8 @@ and resolved with ``build_pipeline`` produces *identical run artefacts* to
 the directly constructed pipeline on a real (small, generated) dataset.
 """
 
+from dataclasses import asdict, fields
+
 import pytest
 
 from repro.api import build_pipeline, load_spec
@@ -37,7 +39,7 @@ def full_pipeline_spec() -> PipelineSpec:
         cleanup=CleanupSpec(strategy="gralmatch", gamma=20, mu=4),
         pre_cleanup=PreCleanupSpec(enabled=True, max_component_size=30),
         runtime=RuntimeSpec(workers=2, batch_size=64, executor="thread",
-                            blocking_shards=3, warm_pool=False),
+                            blocking_shards=3),
         state=StateSpec(dir="state/companies", autosave=False),
     )
 
@@ -73,6 +75,15 @@ class TestSerializationRoundTrip:
         spec = ExperimentSpec()
         text = getattr(spec, f"to_{fmt}")()
         assert getattr(ExperimentSpec, f"from_{fmt}")(text) == spec
+
+    def test_runtime_spec_mirrors_runtime_config(self):
+        # One settable field per engine knob, no more: every RuntimeSpec
+        # field maps onto the RuntimeConfig field of the same name.
+        spec = full_pipeline_spec().runtime
+        assert [f.name for f in fields(RuntimeSpec)] == [
+            f.name for f in fields(RuntimeConfig)
+        ]
+        assert asdict(spec) == asdict(spec.to_runtime_config())
 
     def test_gamma_infinity_round_trips(self):
         spec = PipelineSpec(
@@ -159,12 +170,11 @@ class TestValidationErrorsNameTheKey:
             ("[pipeline.runtime]\nworkers = -1\n", "pipeline.runtime.workers"),
             ("[pipeline.runtime]\nblocking_shards = 0\n", "pipeline.runtime.blocking_shards"),
             ('[pipeline.runtime]\nblocking_shards = "all"\n', "pipeline.runtime.blocking_shards"),
-            # The retired matching-route knobs are unknown keys now.
+            # The retired matching-route and pool-mode knobs are unknown keys now.
             ("[pipeline.runtime]\nprofile_cache = true\n", "pipeline.runtime.profile_cache"),
             ("[pipeline.runtime]\ncolumnar_dispatch = false\n",
              "pipeline.runtime.columnar_dispatch"),
-            ('[pipeline.runtime]\nwarm_pool = "yes"\n', "pipeline.runtime.warm_pool"),
-            ("[pipeline.runtime]\nwarm_pool = 0\n", "pipeline.runtime.warm_pool"),
+            ("[pipeline.runtime]\nwarm_pool = false\n", "pipeline.runtime.warm_pool"),
             ("[pipeline.state]\ndir = 5\n", "pipeline.state.dir"),
             ('[pipeline.state]\nautosave = "yes"\n', "pipeline.state.autosave"),
             ('[pipeline.state]\ndirectory = "x"\n', "pipeline.state.directory"),
@@ -210,7 +220,7 @@ class TestBuildPipelineEquivalence:
             cleanup_config=CleanupConfig(gamma=20, mu=4),
             pre_cleanup_config=PreCleanupConfig(enabled=True, max_component_size=30),
             runtime=RuntimeConfig(workers=2, batch_size=64, executor="thread",
-                                  blocking_shards=3, warm_pool=False),
+                                  blocking_shards=3),
         )
         spec = full_pipeline_spec()
         text = getattr(spec, f"to_{fmt}")()

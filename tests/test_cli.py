@@ -31,19 +31,17 @@ class TestParser:
         assert args.batch_size == 2048
         assert args.executor == "process"
         assert args.blocking_shards == 1
-        assert args.warm_pool is True
 
     def test_match_runtime_flags(self):
         args = build_parser().parse_args([
             "match", "data.csv", "--workers", "4",
             "--batch-size", "512", "--executor", "thread",
-            "--blocking-shards", "8", "--no-warm-pool",
+            "--blocking-shards", "8",
         ])
         assert args.workers == 4
         assert args.batch_size == 512
         assert args.executor == "thread"
         assert args.blocking_shards == 8
-        assert args.warm_pool is False
 
     def test_run_runtime_flags_default_to_unset(self):
         # `run` must distinguish "not passed" from any concrete value so the
@@ -53,19 +51,17 @@ class TestParser:
         assert args.batch_size is None
         assert args.executor is None
         assert args.blocking_shards is None
-        assert args.warm_pool is None
 
     def test_run_accepts_runtime_flags(self):
         args = build_parser().parse_args([
             "run", "config.toml", "--workers", "3",
             "--batch-size", "128", "--executor", "thread",
-            "--blocking-shards", "4", "--warm-pool",
+            "--blocking-shards", "4",
         ])
         assert args.workers == 3
         assert args.batch_size == 128
         assert args.executor == "thread"
         assert args.blocking_shards == 4
-        assert args.warm_pool is True
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"),
@@ -85,6 +81,7 @@ class TestParser:
     @pytest.mark.parametrize("flag", [
         "--profile-cache", "--no-profile-cache",
         "--columnar-dispatch", "--no-columnar-dispatch",
+        "--warm-pool", "--no-warm-pool",
     ])
     def test_retired_matching_route_flags_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -264,17 +261,23 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert "experiment.epochs" in capsys.readouterr().err
 
-    def test_run_retired_runtime_key_is_an_unknown_key(self, tmp_path, capsys):
-        # Specs written for the engine's former matching-route knobs fail
-        # cleanly through the unknown-key path, naming the key.
+    @pytest.mark.parametrize("line,key", [
+        ("profile_cache = true", "profile_cache"),
+        ("warm_pool = false", "warm_pool"),
+    ])
+    def test_run_retired_runtime_key_is_an_unknown_key(
+        self, tmp_path, capsys, line, key
+    ):
+        # Specs written for the engine's former matching-route and pool-mode
+        # knobs fail cleanly through the unknown-key path, naming the key.
         config = tmp_path / "experiment.toml"
         config.write_text(
             '[experiment]\nkind = "companies"\nmodel = "logistic"\n'
-            "[pipeline.runtime]\nprofile_cache = true\n"
+            f"[pipeline.runtime]\n{line}\n"
         )
         assert main(["run", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "pipeline.runtime.profile_cache: unknown key" in err
+        assert f"pipeline.runtime.{key}: unknown key" in err
         assert err.count("\n") == 1
 
     def test_run_unknown_model_names_the_key(self, tmp_path, capsys):
@@ -305,6 +308,55 @@ class TestRunCommand:
         )
         assert main(["run", str(config)]) == 2
         assert "dataset file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["match", "run", "ingest"])
+    def test_dataset_without_training_pairs_exits_cleanly(
+        self, tmp_path, capsys, command
+    ):
+        # A one-record dataset yields no training pairs; the fit error is a
+        # usage error (one line, exit 2), not a traceback — the same line
+        # from every command that trains.
+        benchmark = generate_benchmark(GenerationConfig(num_entities=5, num_sources=2, seed=1))
+        full = write_dataset_csv(benchmark.companies, tmp_path / "companies.csv")
+        one = tmp_path / "one.csv"
+        one.write_text("".join(full.read_text().splitlines(keepends=True)[:2]))
+        config = tmp_path / "experiment.toml"
+        config.write_text(
+            f'[experiment]\ndataset = "{one}"\n'
+            'kind = "companies"\nmodel = "logistic"\nepochs = 1\n'
+        )
+        if command == "match":
+            argv = ["match", str(one), "--model", "logistic", "--epochs", "1"]
+        elif command == "run":
+            argv = ["run", str(config)]
+        else:
+            argv = ["ingest", str(one), "--state", str(tmp_path / "state"),
+                    "--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot fit on an empty training set\n"
+
+    @pytest.mark.parametrize("command", ["match", "run"])
+    def test_internal_value_error_keeps_its_traceback(
+        self, tmp_path, monkeypatch, command
+    ):
+        # Only input errors become one-line exits; a ValueError from a bug
+        # inside the run must propagate.
+        import repro.api
+
+        def broken_run(spec, dataset=None):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(repro.api, "run_experiment", broken_run)
+        path = self._write_dataset(tmp_path)
+        config = tmp_path / "experiment.toml"
+        config.write_text(
+            f'[experiment]\ndataset = "{path}"\n'
+            'kind = "companies"\nmodel = "logistic"\n'
+        )
+        argv = ["match", str(path)] if command == "match" else ["run", str(config)]
+        with pytest.raises(ValueError, match="internal bug"):
+            main(argv)
 
 
 class TestRunRuntimeOverrides:
@@ -339,21 +391,6 @@ class TestRunRuntimeOverrides:
         # Untouched flags keep the spec file's values, not the defaults:
         assert runtime.batch_size == 32
         assert runtime.executor == "thread"
-
-    def test_warm_pool_flag_beats_spec_value(self, tmp_path):
-        from repro.api import load_spec
-        from repro.cli import _apply_runtime_overrides
-
-        config = tmp_path / "experiment.toml"
-        config.write_text(self.SPEC + "warm_pool = false\n")
-        # No flag: the spec file's opt-out survives.
-        args = build_parser().parse_args(["run", str(config)])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.warm_pool is False
-        # Explicit flag: CLI beats spec.
-        args = build_parser().parse_args(["run", str(config), "--warm-pool"])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.warm_pool is True
 
     def test_sharded_run_reproduces_plain_run(self, tmp_path, capsys):
         benchmark = generate_benchmark(

@@ -396,7 +396,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_ingest(args: argparse.Namespace) -> int:
     from repro.api import ingest, load_spec, open_state
-    from repro.incremental import MatchStateError, is_state_dir
+    from repro.incremental import DuplicateRecordError, MatchStateError, is_state_dir
 
     spec = None
     if args.config is not None:
@@ -490,7 +490,15 @@ def _command_ingest(args: argparse.Namespace) -> int:
                 matcher.save(state_dir)
         if save and not autosave:
             matcher.save(state_dir)
-    except (MatchStateError, SpecValidationError, ValueError) as error:
+    except (
+        MatchStateError,
+        SpecValidationError,
+        DatasetFormatError,
+        EmptyTrainingSetError,
+        DuplicateRecordError,
+    ) as error:
+        # Input errors only: any other ValueError is a bug and keeps its
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:

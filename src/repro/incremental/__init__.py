@@ -12,7 +12,11 @@ Entry points: :func:`repro.api.open_state` / :func:`repro.api.ingest`, the
 CLI's ``repro ingest`` / ``repro state show``, or the classes directly.
 """
 
-from repro.incremental.matcher import IncrementalMatcher, IngestReport
+from repro.incremental.matcher import (
+    DuplicateRecordError,
+    IncrementalMatcher,
+    IngestReport,
+)
 from repro.incremental.state import (
     STATE_FORMAT,
     STATE_FORMAT_VERSION,
@@ -27,6 +31,7 @@ __all__ = [
     "STATE_FORMAT",
     "STATE_FORMAT_VERSION",
     "ComponentCleanup",
+    "DuplicateRecordError",
     "IncrementalMatcher",
     "IngestReport",
     "MatchState",

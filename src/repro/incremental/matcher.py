@@ -61,6 +61,10 @@ from repro.registry import CLEANUPS
 from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler
 
 
+class DuplicateRecordError(ValueError):
+    """An ingest batch repeats a record id, or reuses one already ingested."""
+
+
 @dataclass
 class IngestReport:
     """What one :meth:`IncrementalMatcher.ingest` call did (and reused)."""
@@ -370,7 +374,7 @@ class IncrementalMatcher:
                 clashes.append(record_id)
             seen.add(record_id)
         if clashes:
-            raise ValueError(
+            raise DuplicateRecordError(
                 f"cannot ingest duplicate record ids: {sorted(set(clashes))}"
             )
 

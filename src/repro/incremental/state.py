@@ -23,11 +23,12 @@ offending path on any mismatch.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 from repro.blocking.base import Blocking, CandidatePair
 from repro.core.cleanup import CleanupConfig, CleanupReport, ComponentCleanup
@@ -76,6 +77,21 @@ _STATE_FILES = (
 
 class MatchStateError(RuntimeError):
     """A state directory is missing, incomplete, or of the wrong format."""
+
+
+def _fsync_file(handle: IO[Any]) -> None:
+    """Flush an open file through to stable storage."""
+    handle.flush()
+    os.fsync(handle.fileno())
+
+
+def _fsync_dir(path: Path) -> None:
+    """Flush a directory's entries (created or renamed files) to storage."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 @dataclass
@@ -183,7 +199,9 @@ class MatchState:
         single commit point: a crash at any instant leaves the manifest
         pointing at one complete payload set (the previous save's or this
         one's), never a mix; leftover uncommitted directories are swept by
-        the next successful save.
+        the next successful save.  Every payload file, the ``rev<N>``
+        directory and the new manifest are fsynced before the rename and
+        ``state_dir`` after it, so the commit also survives a power loss.
         """
         state_dir = Path(state_dir)
         state_dir.mkdir(parents=True, exist_ok=True)
@@ -229,14 +247,17 @@ class MatchState:
         for file_name, payload in payloads.items():  # repro-lint: disable=unordered-iteration -- dict literal; fixed source order
             with (payload_dir / file_name).open("wb") as handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                _fsync_file(handle)
+        _fsync_dir(payload_dir)
         manifest_temp = state_dir / (MANIFEST_FILE + ".tmp")
-        manifest_temp.write_text(
-            json.dumps(self.manifest(), indent=2) + "\n", encoding="utf-8"
-        )
+        with manifest_temp.open("w", encoding="utf-8") as handle:
+            handle.write(json.dumps(self.manifest(), indent=2) + "\n")
+            _fsync_file(handle)
         # The commit point: after this single atomic rename the manifest
         # names the new payload directory; before it, the old manifest
         # still names the old (untouched) one.
         manifest_temp.replace(state_dir / MANIFEST_FILE)
+        _fsync_dir(state_dir)
         for stale in state_dir.glob(f"{_PAYLOAD_DIR_PREFIX}*"):
             if stale.is_dir() and stale != payload_dir:
                 shutil.rmtree(stale, ignore_errors=True)

@@ -12,7 +12,10 @@ numpy layers in :mod:`repro.matching.nn`:
 * a learned embedding + positional embedding feeds one or more pre-norm
   Transformer blocks, a masked mean pooling and a 2-way softmax head,
 * training minimises cross-entropy with Adam for a few epochs and keeps the
-  epoch with the lowest validation loss, exactly as in Section 4.1.
+  epoch with the lowest validation loss, exactly as in Section 4.1,
+* every batch runs only as wide as its longest sequence (rounded up to a
+  multiple of eight, see :func:`batch_width`), and each record is
+  serialised and encoded once per call, however many pairs it is in.
 
 The network is orders of magnitude smaller than DistilBERT, but it occupies
 the identical position in the pipeline and reacts to the same experimental
@@ -22,10 +25,13 @@ knobs (serialisation scheme, token budget, training-set size).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.datagen.records import Record
 from repro.matching.base import (
     EmptyTrainingSetError,
     RecordPair,
@@ -46,7 +52,21 @@ from repro.matching.nn import (
     softmax,
 )
 from repro.text.serialize import PairSerializer, PlainSerializer
-from repro.text.tokenize import Vocabulary
+from repro.text.tokenize import SEP_TOKEN, Vocabulary
+
+#: Each batch runs at the width of its longest sequence rounded up to a
+#: multiple of this many columns, never at the full token budget.  At such
+#: a width the reductions over the sequence axis group their terms as they
+#: do at the full width (the dropped columns only added zeros), so the
+#: logits are bit-identical to an untrimmed pass — pinned by
+#: ``tests/matching/test_attention_work.py``.  Trimming to the exact length
+#: regroups the sums and moves the last bits.
+WIDTH_MULTIPLE = 8
+
+
+def batch_width(longest: int, max_tokens: int) -> int:
+    """Columns a batch runs at when its longest sequence has ``longest`` tokens."""
+    return min(max_tokens, -(-longest // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
 
 
 @dataclass
@@ -57,6 +77,59 @@ class TrainingHistory:
     validation_loss: list[float] = field(default_factory=list)
     best_epoch: int = -1
     training_seconds: float = 0.0
+
+
+class _EncodedPairs(NamedTuple):
+    """Network inputs for a pair sequence, one row per pair.
+
+    The arrays are as wide as the longest row needs (see
+    :func:`batch_width`); ``lengths`` holds each row's real token count.
+    """
+
+    ids: np.ndarray
+    mask: np.ndarray
+    left_mask: np.ndarray
+    right_mask: np.ndarray
+    aux: np.ndarray
+    lengths: np.ndarray
+
+
+class _RecordEncodings:
+    """One call's serialisation and token ids of each distinct record.
+
+    A record appears in many pairs, so its budget-truncated tokens (which
+    feed the vocabulary corpus) and, once the vocabulary is fitted, its
+    token ids are computed once per ``fit`` / ``predict_proba`` call.  The
+    memo lives only for that call: nothing is stored on the matcher, which
+    is pickled into pool epochs and match states.  Records are keyed by id,
+    so two *different* records sharing an id raise ``ValueError``.
+    """
+
+    def __init__(self, serializer: PairSerializer) -> None:
+        self._serializer = serializer
+        self._tokens: dict[str, tuple[Record, list[str]]] = {}
+        self._ids: dict[str, list[int]] = {}
+
+    def tokens(self, record: Record) -> list[str]:
+        entry = self._tokens.get(record.record_id)
+        if entry is None:
+            entry = (record, self._serializer.serialize_side(record.attributes()))
+            self._tokens[record.record_id] = entry
+        elif entry[0] is not record and entry[0] != record:
+            raise ValueError(f"two different records share the id {record.record_id!r}")
+        return entry[1]
+
+    def pair_text(self, left: Record, right: Record) -> str:
+        """``serializer.serialize_pair_text(left, right)`` from the memo."""
+        return " ".join([*self.tokens(left), SEP_TOKEN, *self.tokens(right)])
+
+    def ids(self, record: Record, vocabulary: Vocabulary) -> list[int]:
+        tokens = self.tokens(record)
+        ids = self._ids.get(record.record_id)
+        if ids is None:
+            ids = vocabulary.encode(tokens, add_special_tokens=False)
+            self._ids[record.record_id] = ids
+        return ids
 
 
 class _PairEncoderNetwork(Module):
@@ -231,43 +304,53 @@ class TransformerPairClassifier(TrainablePairwiseMatcher):
     # -- encoding -----------------------------------------------------------------
 
     def _encode_pairs(
-        self, pairs: Sequence[RecordPair]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Serialize + tokenise pairs into (ids, mask, left_mask, right_mask, aux).
+        self, pairs: Sequence[RecordPair], records: _RecordEncodings
+    ) -> _EncodedPairs:
+        """Tokenise pairs into the network inputs.
 
-        The left/right segment masks split the sequence at the first middle
-        ``[SEP]`` token (the record boundary produced by the serialiser); they
-        feed the segment-interaction head of the network.  ``aux`` holds the
-        (standardised) pair similarity features when enabled, otherwise an
-        empty array.
+        Each row is ``[CLS] left [SEP] right [SEP]``, truncated with a final
+        ``[SEP]`` — exactly ``Vocabulary.encode(serialize_pair(...))`` —
+        built from the per-record ids in ``records``.  The left/right segment
+        masks split the sequence at the first middle ``[SEP]`` token (the
+        record boundary); they feed the segment-interaction head of the
+        network.  ``aux`` holds the (standardised) pair similarity features
+        when enabled, otherwise an empty array.
         """
-        if self.vocabulary is None:
+        vocabulary = self.vocabulary
+        if vocabulary is None:
             raise RuntimeError("matcher must be fitted before encoding")
-        ids = np.zeros((len(pairs), self.max_tokens), dtype=np.int64)
-        mask = np.zeros((len(pairs), self.max_tokens), dtype=np.float64)
-        left_mask = np.zeros((len(pairs), self.max_tokens), dtype=np.float64)
-        right_mask = np.zeros((len(pairs), self.max_tokens), dtype=np.float64)
-        sep_id = self.vocabulary.sep_id
-        for row, (left, right) in enumerate(pairs):
-            tokens = self.serializer.serialize_pair(left.attributes(), right.attributes())
-            encoded = self.vocabulary.encode(tokens, max_length=self.max_tokens)
-            length = len(encoded)
-            ids[row, :length] = encoded
-            mask[row, :length] = 1.0
+        cls_id, sep_id = vocabulary.cls_id, vocabulary.sep_id
+        sequences: list[list[int]] = []
+        boundaries: list[int] = []
+        for left, right in pairs:
+            sequence = [
+                cls_id, *records.ids(left, vocabulary),
+                sep_id, *records.ids(right, vocabulary), sep_id,
+            ]
+            if len(sequence) > self.max_tokens:
+                del sequence[self.max_tokens:]
+                sequence[-1] = sep_id
+            sequences.append(sequence)
             # Position 0 is [CLS]; the first [SEP] after it separates records.
-            boundary = length
-            for position in range(1, length):
-                if encoded[position] == sep_id:
-                    boundary = position
-                    break
-            left_mask[row, 1:boundary] = 1.0
-            right_mask[row, boundary + 1:length] = 1.0
+            boundaries.append(sequence.index(sep_id, 1))
+        lengths = np.array([len(sequence) for sequence in sequences])
+        positions = np.arange(batch_width(int(lengths.max()), self.max_tokens))
+        real = positions < lengths[:, None]
+        ids = np.zeros(real.shape, dtype=np.int64)
+        ids[real] = np.fromiter(
+            chain.from_iterable(sequences), dtype=np.int64, count=int(lengths.sum())
+        )
+        boundary = np.array(boundaries)[:, None]
+        left_mask = ((positions >= 1) & (positions < boundary)).astype(np.float64)
+        right_mask = ((positions > boundary) & real).astype(np.float64)
         if self._idf is not None:
             token_weights = self._idf[ids]
             left_mask *= token_weights
             right_mask *= token_weights
         aux = self._aux_features(pairs)
-        return ids, mask, left_mask, right_mask, aux
+        return _EncodedPairs(
+            ids, real.astype(np.float64), left_mask, right_mask, aux, lengths
+        )
 
     def _aux_features(self, pairs: Sequence[RecordPair]) -> np.ndarray:
         """Standardised similarity features (empty array when disabled)."""
@@ -315,10 +398,8 @@ class TransformerPairClassifier(TrainablePairwiseMatcher):
 
         start_time = clock.now()
 
-        corpus = (
-            self.serializer.serialize_pair_text(left.attributes(), right.attributes())
-            for left, right in pairs
-        )
+        records = _RecordEncodings(self.serializer)
+        corpus = (records.pair_text(left, right) for left, right in pairs)
         self.vocabulary = Vocabulary(max_size=self.vocab_size).fit(corpus)
 
         num_aux = self._feature_extractor.num_features if self._feature_extractor else 0
@@ -334,19 +415,22 @@ class TransformerPairClassifier(TrainablePairwiseMatcher):
         )
         optimizer = Adam(self.network.parameters(), learning_rate=self.learning_rate)
 
-        ids, mask, left_mask, right_mask, aux = self._encode_pairs(pairs)
-        self._idf = self._fit_idf(ids)
-        token_weights = self._idf[ids]
+        encoded = self._encode_pairs(pairs, records)
+        self._idf = self._fit_idf(encoded.ids)
+        token_weights = self._idf[encoded.ids]
+        encoded = encoded._replace(
+            left_mask=encoded.left_mask * token_weights,
+            right_mask=encoded.right_mask * token_weights,
+        )
         if num_aux:
-            aux = self._fit_feature_scaler(aux)
-        encoded = (ids, mask, left_mask * token_weights, right_mask * token_weights, aux)
+            encoded = encoded._replace(aux=self._fit_feature_scaler(encoded.aux))
         targets = np.asarray(labels, dtype=np.int64)
         sample_weights = self._class_weights(targets)
 
         validation_data = None
         if validation_pairs and validation_labels:
             validation_data = (
-                self._encode_pairs(validation_pairs),
+                self._encode_pairs(validation_pairs, records),
                 np.asarray(validation_labels, dtype=np.int64),
             )
 
@@ -388,53 +472,55 @@ class TransformerPairClassifier(TrainablePairwiseMatcher):
         negative_weight = len(targets) / (2.0 * num_negative)
         return np.where(targets == 1, positive_weight, negative_weight)
 
+    def _forward_batches(
+        self, encoded: _EncodedPairs, order: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Run the network over the rows ``order`` in batches.
+
+        Yields ``(rows, logits)`` per batch.  Each batch is cut to its
+        longest sequence (rounded by :func:`batch_width`): the columns past
+        it are padding in every row.  The network caches one batch's
+        activations, so a training caller runs its backward pass before it
+        asks for the next batch.
+        """
+        assert self.network is not None
+        for start in range(0, len(order), self.batch_size):
+            rows = order[start:start + self.batch_size]
+            width = batch_width(int(encoded.lengths[rows].max()), self.max_tokens)
+            yield rows, self.network.forward(
+                encoded.ids[rows, :width],
+                encoded.mask[rows, :width],
+                encoded.left_mask[rows, :width],
+                encoded.right_mask[rows, :width],
+                encoded.aux[rows],
+            )
+
     def _run_epoch(
         self,
-        encoded: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        encoded: _EncodedPairs,
         targets: np.ndarray,
         sample_weights: np.ndarray,
         optimizer: Adam,
         rng: np.random.Generator,
     ) -> float:
         assert self.network is not None
-        ids, mask, left_mask, right_mask, aux = encoded
-        order = rng.permutation(len(targets))
         total_loss = 0.0
         num_batches = 0
-        for start in range(0, len(order), self.batch_size):
-            batch = order[start:start + self.batch_size]
+        for rows, logits in self._forward_batches(encoded, rng.permutation(len(targets))):
+            loss, grad_logits = cross_entropy(logits, targets[rows], sample_weights[rows])
             optimizer.zero_grad()
-            logits = self.network.forward(
-                ids[batch], mask[batch], left_mask[batch], right_mask[batch], aux[batch]
-            )
-            loss, grad_logits = cross_entropy(
-                logits, targets[batch], sample_weights[batch]
-            )
             self.network.backward(grad_logits)
             optimizer.step()
             total_loss += loss
             num_batches += 1
         return total_loss / max(num_batches, 1)
 
-    def _evaluate_loss(
-        self,
-        encoded: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        targets: np.ndarray,
-    ) -> float:
-        assert self.network is not None
-        ids, mask, left_mask, right_mask, aux = encoded
-        total_loss = 0.0
-        num_batches = 0
-        for start in range(0, len(targets), self.batch_size):
-            stop = start + self.batch_size
-            logits = self.network.forward(
-                ids[start:stop], mask[start:stop],
-                left_mask[start:stop], right_mask[start:stop], aux[start:stop],
-            )
-            loss, _ = cross_entropy(logits, targets[start:stop])
-            total_loss += loss
-            num_batches += 1
-        return total_loss / max(num_batches, 1)
+    def _evaluate_loss(self, encoded: _EncodedPairs, targets: np.ndarray) -> float:
+        losses = [
+            cross_entropy(logits, targets[rows])[0]
+            for rows, logits in self._forward_batches(encoded, np.arange(len(targets)))
+        ]
+        return sum(losses) / max(len(losses), 1)
 
     # -- inference -----------------------------------------------------------------------
 
@@ -443,16 +529,10 @@ class TransformerPairClassifier(TrainablePairwiseMatcher):
             raise RuntimeError("matcher must be fitted before predicting")
         if not pairs:
             return []
-        ids, mask, left_mask, right_mask, aux = self._encode_pairs(pairs)
+        encoded = self._encode_pairs(pairs, _RecordEncodings(self.serializer))
         probabilities: list[float] = []
-        for start in range(0, len(pairs), self.batch_size):
-            stop = start + self.batch_size
-            logits = self.network.forward(
-                ids[start:stop], mask[start:stop],
-                left_mask[start:stop], right_mask[start:stop], aux[start:stop],
-            )
-            batch_probabilities = softmax(logits)[:, 1]
-            probabilities.extend(float(p) for p in batch_probabilities)
+        for _, logits in self._forward_batches(encoded, np.arange(len(pairs))):
+            probabilities.extend(float(p) for p in softmax(logits)[:, 1])
         return probabilities
 
     # -- persistence-ish helpers ------------------------------------------------------------

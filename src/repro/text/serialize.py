@@ -47,8 +47,8 @@ class PairSerializer(ABC):
     def serialize_record(self, record: Record) -> list[str]:
         """Serialise one record into word tokens (without special framing)."""
 
-    def serialize_pair(self, left: Record, right: Record) -> list[str]:
-        """Serialise a record pair as ``left [SEP] right``, within budget.
+    def serialize_side(self, record: Record) -> list[str]:
+        """Serialise one side of a pair: the record truncated to its budget.
 
         The budget is split evenly between the two records (minus the three
         framing tokens added later by the vocabulary encoder: ``[CLS]``,
@@ -56,9 +56,11 @@ class PairSerializer(ABC):
         paper truncates each record to half the sequence length.
         """
         per_record_budget = max(1, (self.max_tokens - 3) // 2)
-        left_tokens = self.serialize_record(left)[:per_record_budget]
-        right_tokens = self.serialize_record(right)[:per_record_budget]
-        return left_tokens + [SEP_TOKEN] + right_tokens
+        return self.serialize_record(record)[:per_record_budget]
+
+    def serialize_pair(self, left: Record, right: Record) -> list[str]:
+        """Serialise a record pair as ``left [SEP] right``, within budget."""
+        return self.serialize_side(left) + [SEP_TOKEN] + self.serialize_side(right)
 
     def serialize_pair_text(self, left: Record, right: Record) -> str:
         """Convenience: the pair serialisation joined into a single string."""

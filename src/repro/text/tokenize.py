@@ -86,12 +86,16 @@ class Vocabulary:
     def fit(self, texts: Iterable[str]) -> "Vocabulary":
         """Fit the vocabulary on an iterable of raw texts."""
         word_counts: Counter[str] = Counter()
-        gram_counts: Counter[str] = Counter()
         for text in texts:
-            words = word_tokenize(text)
-            word_counts.update(words)
-            for word in words:
-                gram_counts.update(char_ngrams(word, n=3))
+            word_counts.update(word_tokenize(text))
+        # Each distinct word's trigrams are counted once, weighted by the
+        # word's count.  Words iterate in first-occurrence order, so every
+        # gram enters the counter in the order a per-occurrence pass would
+        # insert it, and ``most_common`` breaks ties the same way.
+        gram_counts: Counter[str] = Counter()
+        for word, count in word_counts.items():
+            for gram in char_ngrams(word, n=3):
+                gram_counts[gram] += count
 
         budget = self.max_size - len(SPECIAL_TOKENS)
         # Words take priority over sub-word grams; a third of the budget is

@@ -7,12 +7,14 @@ exactly like the existing pickling (worker-shipping) path.
 """
 
 import json
+import os
 import pickle
 
 import pytest
 
 from repro.incremental import (
     STATE_FORMAT_VERSION,
+    DuplicateRecordError,
     IncrementalMatcher,
     MatchStateError,
     is_state_dir,
@@ -194,6 +196,54 @@ class TestCrashResilience:
             matcher.ingest([companies.records[0]])
         report = matcher.ingest(companies.records[50:60])
         assert report.num_new_records == 10
+
+    def test_duplicate_ids_are_a_duplicate_record_error(
+        self, golden_setup, pipeline_factory
+    ):
+        # The CLI turns this input error into a one-line exit; it must not
+        # be a bare ValueError, which the CLI lets through as a bug.
+        companies, _ = golden_setup
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory())
+        with pytest.raises(DuplicateRecordError):
+            matcher.ingest([companies.records[0], companies.records[0]])
+
+    def test_save_fsyncs_payloads_before_the_manifest_commit(
+        self, golden_setup, saved_state, monkeypatch
+    ):
+        companies, _ = golden_setup
+        matcher, state_dir = saved_state
+        matcher.ingest(companies.records[100:110])
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(descriptor):
+            stat = os.fstat(descriptor)
+            events.append(("fsync", (stat.st_dev, stat.st_ino)))
+            real_fsync(descriptor)
+
+        def replace(source, target, **kwargs):
+            events.append(("replace", os.path.basename(target)))
+            real_replace(source, target, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        matcher.save(state_dir)
+        monkeypatch.undo()
+
+        def synced(path):
+            stat = path.stat()
+            return ("fsync", (stat.st_dev, stat.st_ino))
+
+        commit = events.index(("replace", MANIFEST_FILE))
+        (payload_dir,) = [path for path in state_dir.glob("rev*") if path.is_dir()]
+        payload_files = list(payload_dir.iterdir())
+        assert payload_files
+        before_commit = set(events[:commit])
+        assert {synced(path) for path in payload_files} <= before_commit
+        assert synced(payload_dir) in before_commit
+        # The manifest's inode is the renamed temp file's.
+        assert synced(state_dir / MANIFEST_FILE) in before_commit
+        assert events[commit + 1:] == [synced(state_dir)]
 
 
 class TestFormatMigration:

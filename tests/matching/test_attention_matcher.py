@@ -5,7 +5,7 @@ import pytest
 from reference_features import reference_features
 
 from repro.matching import EmptyTrainingSetError
-from repro.matching.attention import TransformerPairClassifier
+from repro.matching.attention import TransformerPairClassifier, batch_width
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.text.serialize import DittoSerializer, PlainSerializer
 
@@ -154,3 +154,14 @@ class TestSerializationVariants:
             embedding_dim=16, hidden_dim=32, num_epochs=1, vocab_size=2000, seed=0,
         ).fit(record_pairs, labels)
         assert plain.predict_proba(record_pairs[:10]) != ditto.predict_proba(record_pairs[:10])
+
+
+class TestBatchWidth:
+    @pytest.mark.parametrize(
+        ("longest", "width"), [(3, 8), (8, 8), (9, 16), (45, 48), (121, 128), (128, 128)]
+    )
+    def test_rounds_up_to_a_multiple_of_eight(self, longest, width):
+        assert batch_width(longest, 128) == width
+
+    def test_never_exceeds_the_budget(self):
+        assert batch_width(45, 44) == 44

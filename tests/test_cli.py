@@ -336,7 +336,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "error: cannot fit on an empty training set\n"
 
-    @pytest.mark.parametrize("command", ["match", "run"])
+    @pytest.mark.parametrize("command", ["match", "run", "ingest"])
     def test_internal_value_error_keeps_its_traceback(
         self, tmp_path, monkeypatch, command
     ):
@@ -347,14 +347,23 @@ class TestRunCommand:
         def broken_run(spec, dataset=None):
             raise ValueError("internal bug")
 
+        def broken_ingest(state, records, *, save=True):
+            raise ValueError("internal bug")
+
         monkeypatch.setattr(repro.api, "run_experiment", broken_run)
+        monkeypatch.setattr(repro.api, "ingest", broken_ingest)
         path = self._write_dataset(tmp_path)
         config = tmp_path / "experiment.toml"
         config.write_text(
             f'[experiment]\ndataset = "{path}"\n'
             'kind = "companies"\nmodel = "logistic"\n'
         )
-        argv = ["match", str(path)] if command == "match" else ["run", str(config)]
+        argv = {
+            "match": ["match", str(path)],
+            "run": ["run", str(config)],
+            "ingest": ["ingest", str(path), "--state", str(tmp_path / "state"),
+                       "--config", str(config)],
+        }[command]
         with pytest.raises(ValueError, match="internal bug"):
             main(argv)
 

@@ -1,6 +1,10 @@
 """Tests for tokenisation and the trainable vocabulary."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text import Vocabulary, char_ngrams, whitespace_tokenize, word_tokenize
 from repro.text.tokenize import CLS_TOKEN, PAD_TOKEN, SEP_TOKEN, SPECIAL_TOKENS
@@ -100,3 +104,49 @@ class TestVocabulary:
         assert vocab.pad_id != vocab.cls_id
         assert vocab.token_id(PAD_TOKEN) == vocab.pad_id
         assert vocab.token_id(CLS_TOKEN) == vocab.cls_id
+
+
+def reference_fit_tokens(texts, max_size, min_frequency):
+    """The per-occurrence vocabulary fit: every word occurrence adds its grams.
+
+    Test oracle for :meth:`Vocabulary.fit`, which counts each distinct
+    word's trigrams once, weighted by the word's count.
+    """
+    word_counts = Counter()
+    gram_counts = Counter()
+    for text in texts:
+        words = word_tokenize(text)
+        word_counts.update(words)
+        for word in words:
+            gram_counts.update(char_ngrams(word, n=3))
+    tokens = list(SPECIAL_TOKENS)
+    budget = max_size - len(SPECIAL_TOKENS)
+    word_budget = max(1, int(budget * 2 / 3))
+    gram_budget = budget - word_budget
+    for word, count in word_counts.most_common():
+        if count < min_frequency or word_budget <= 0:
+            break
+        tokens.append(word)
+        word_budget -= 1
+    for gram, count in gram_counts.most_common():
+        if gram_budget <= 0 or count < min_frequency:
+            break
+        if gram not in tokens:
+            tokens.append(gram)
+            gram_budget -= 1
+    return tokens
+
+
+class TestVocabularyFitOracle:
+    # A small alphabet forces shared grams, repeated grams inside one word
+    # ("aaaa") and count ties, so the tie order of most_common is exercised.
+    texts = st.lists(st.text(alphabet="aabc é-.", max_size=24), max_size=12)
+
+    @given(texts, st.integers(min_value=7, max_value=40), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_token_list_equals_the_per_occurrence_fit(
+        self, texts, max_size, min_frequency
+    ):
+        vocabulary = Vocabulary(max_size=max_size, min_frequency=min_frequency).fit(texts)
+        expected = reference_fit_tokens(texts, max_size, min_frequency)
+        assert [vocabulary.id_to_token(i) for i in range(len(vocabulary))] == expected

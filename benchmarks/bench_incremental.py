@@ -18,6 +18,9 @@ the pool ledger per batch, proving the pool spawns once for the whole
 sequence and the persistent profile store ships once per revision (batches
 after the first pay no pool-start or re-pickle overhead).
 
+"Rescored" counts the per-record blocking rescores of the delta out of all
+records × blocking parts (the rest were certified unchanged).
+
 Full runs assert that small-delta ingestion beats the full re-run and write
 ``benchmarks/results/BENCH_incremental.json``.  Quick runs skip the
 wall-clock assertion (CI boxes are too noisy to gate on ratios) and write
@@ -86,12 +89,23 @@ def time_full_run(matcher, dataset: Dataset, runtime: RuntimeConfig | None,
     return best, result
 
 
+#: Records of the warm-up delta :func:`warm_state` ingests after the bulk.
+WARM_UP_RECORDS = 5
+
+
 def warm_state(matcher, prefix, runtime: RuntimeConfig | None) -> bytes:
-    """Ingest the prefix once and freeze the state for repeatable deltas."""
+    """Ingest the prefix and freeze the state for repeatable deltas.
+
+    The prefix goes in as a bulk ingest plus one small warm-up delta, as in
+    steady operation: the first delta after a bulk ingest computes the
+    token-overlap margin certificates (rescoring every tokenised record
+    once), so only later deltas show what a delta costs.
+    """
     with IncrementalMatcher.from_pipeline(
         make_pipeline(matcher, runtime), name="bench"
     ) as incremental:
-        incremental.ingest(prefix)
+        incremental.ingest(prefix[:-WARM_UP_RECORDS])
+        incremental.ingest(prefix[-WARM_UP_RECORDS:])
         return pickle.dumps(incremental.state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -228,6 +242,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "Full run (s)": round(full_seconds, 3),
                 "Ingest (s)": round(ingest_seconds, 3),
                 "Speedup": round(speedup, 2),
+                "Rescored": (
+                    f"{report.records_rescored}/"
+                    f"{report.records_rescored + report.records_certified}"
+                ),
                 "Pairs scored": f"{report.pairs_scored}/{report.num_candidates}",
                 "Recleaned": (
                     f"{report.components_recleaned}/{report.components_total}"

@@ -110,6 +110,19 @@ class Blocking(ABC):
             "candidate generation (shardable=False)"
         )
 
+    def owned_candidates(
+        self, shared: Any, records: Sequence[Record]
+    ) -> list[tuple[CandidatePair, ...]]:
+        """Each record's :meth:`candidates_for` output, aligned with ``records``.
+
+        Single-record chunks are a valid chunking under the shardable
+        contract, so each tuple is exactly that record's slice of the serial
+        emission stream — what the incremental matcher splices into its
+        per-record candidate map.  Blockings that score records in blocks
+        override this to score the whole sequence at once.
+        """
+        return [tuple(self.candidates_for(shared, (record,))) for record in records]
+
     def delta_update(
         self, shared: Any, dataset: Dataset, new_records: Sequence[Record]
     ) -> BlockingDelta:

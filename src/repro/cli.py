@@ -479,7 +479,9 @@ def _command_ingest(args: argparse.Namespace) -> int:
             report = ingest(matcher, batch_path, save=False)
             print(
                 f"ingested {batch_path}: +{report.num_new_records} records "
-                f"(total {report.num_records}), scored "
+                f"(total {report.num_records}), rescored "
+                f"{report.records_rescored}/"
+                f"{report.records_rescored + report.records_certified} records, scored "
                 f"{report.pairs_scored}/{report.num_candidates} pairs "
                 f"({report.pairs_reused} cached), recleaned "
                 f"{report.components_recleaned}/{report.components_total} "

@@ -13,10 +13,10 @@ the exact inputs of a deterministic function:
   have changed; only those and the new records are rescored, and the full
   candidate stream is re-assembled from per-record owned lists in exactly
   the batch engine's parts-major / record-order / global-dedupe order.
-  (The token-overlap blocking's global IDF honestly dirties every
-  tokenised record — candidate *generation* is corpus-proportional for it,
-  but it is the cheap index-based stage; identifier- and issuer-based
-  parts dirty only true neighbours.)
+  (Identifier- and issuer-based parts dirty only true neighbours; the
+  token-overlap part's global IDF shifts every weight on each arrival, so
+  it keeps a per-record margin certificate and dirties only the records
+  whose top-n the delta can change.)
 * **matching** — decisions are pair-local, so the decision cache is reused
   for every pair already scored; only pairs new to the candidate set go
   through the engine's (profiled, batched, pooled) inference path.
@@ -79,6 +79,11 @@ class IngestReport:
     pairs_reused: int = 0
     #: Per-record blocking rescores summed over parts (new + dirty records).
     records_rescored: int = 0
+    #: Pre-existing records a delta-capable part's update proved unchanged
+    #: (kept without rescoring), summed over parts.
+    records_certified: int = 0
+    #: Posting entries the token kernel read to rescore records.
+    postings_visited: int = 0
     #: Positive edges after matching / kept after pre-cleanup.
     num_positive: int = 0
     num_kept: int = 0
@@ -346,6 +351,8 @@ class IncrementalMatcher:
             metrics = recorder.metrics
             metrics.add("ingest.new_records", report.num_new_records)
             metrics.add("ingest.records_rescored", report.records_rescored)
+            metrics.add("blocking.records_certified", report.records_certified)
+            metrics.add("blocking.postings_visited", report.postings_visited)
             metrics.add("decision_cache.hits", report.pairs_reused)
             metrics.add("decision_cache.misses", report.pairs_scored)
             metrics.add("cleanup_memo.hits", report.components_reused)
@@ -406,6 +413,9 @@ class IncrementalMatcher:
                 shared = delta.shared
                 rescore_ids = set(delta.dirty_record_ids)
                 rescore_ids.update(new_ids)
+                report.records_certified += (
+                    len(state.records) - len(batch) - len(delta.dirty_record_ids)
+                )
             else:
                 # First ingest, a non-delta-capable part, or an empty batch:
                 # (re)prepare globally and rescore everything.
@@ -424,6 +434,8 @@ class IncrementalMatcher:
             for record, pairs in zip(rescore_records, owned_lists):
                 owned[record.record_id] = pairs
             report.records_rescored += len(rescore_records)
+            if hasattr(part, "postings_visited"):
+                report.postings_visited += part.postings_visited(shared, rescore_records)
         return self._assemble_candidates()
 
     def _assemble_candidates(self) -> list[CandidatePair]:

@@ -46,10 +46,14 @@ STATE_FORMAT = "repro-match-state"
 #: Bump when the on-disk layout changes incompatibly.  Version 2 stores the
 #: decision cache as an array-backed :class:`DecisionCache` instead of a
 #: per-pair dict of :class:`~repro.matching.base.MatchDecision` objects.
-STATE_FORMAT_VERSION = 2
+#: Version 3 stores the token-overlap index as CSR arrays with per-record
+#: margin certificates instead of dicts of token tuples and posting lists.
+STATE_FORMAT_VERSION = 3
 #: Versions :meth:`MatchState.load` accepts; older ones are migrated in
-#: memory on load (the next save writes the current format).
-SUPPORTED_STATE_VERSIONS = (1, STATE_FORMAT_VERSION)
+#: memory on load (the next save writes the current format).  A v1/v2
+#: token index converts as it unpickles and has no margins, so its records
+#: count as dirty once, on the next delta.
+SUPPORTED_STATE_VERSIONS = (1, 2, STATE_FORMAT_VERSION)
 
 #: Manifest file name; its presence marks a completely written state.
 MANIFEST_FILE = "manifest.json"

@@ -152,18 +152,10 @@ class _DeltaBlockingPlan:
 def _delta_blocking_task(
     plan: _DeltaBlockingPlan, span: tuple[int, int]
 ) -> list[tuple[CandidatePair, ...]]:
-    """Worker task: per-record owned candidate lists for one record span.
-
-    Single-record chunks are a valid chunking under the shardable contract,
-    so each record's ``candidates_for`` output is exactly its slice of the
-    serial emission stream — which is what lets the incremental matcher
-    splice rescored records into a stored per-record candidate map.
-    """
+    """Worker task: per-record owned candidate lists for one record span
+    (:meth:`~repro.blocking.base.Blocking.owned_candidates`)."""
     start, stop = span
-    return [
-        tuple(plan.part.candidates_for(plan.state, (record,)))
-        for record in plan.records[start:stop]
-    ]
+    return plan.part.owned_candidates(plan.state, plan.records[start:stop])
 
 
 def _owned_candidate_count(owned: list[tuple[CandidatePair, ...]]) -> int:

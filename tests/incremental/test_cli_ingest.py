@@ -8,12 +8,13 @@ full dataset.
 """
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
 from repro.datagen import GenerationConfig, generate_benchmark
-from repro.datagen.io import write_dataset_csv
+from repro.datagen.io import read_dataset_csv, write_dataset_csv
 from repro.datagen.records import Dataset
 
 CONFIG_TOML = """
@@ -70,6 +71,38 @@ class TestIngestMatchesRun:
         assert run_groups.read_bytes() == ingest_groups.read_bytes()
         groups = json.loads(run_groups.read_text())["groups"]
         assert groups == sorted(sorted(group) for group in groups)
+
+    def test_small_last_batch_rescores_a_delta(self, workspace, capsys, tmp_path):
+        # The CI smoke split: half, the rest minus five, the last five.  The
+        # summary line reports rescored records out of records × parts.
+        _, config, paths = workspace
+        records = read_dataset_csv(paths["full"]).records
+        half = len(records) // 2
+        batches = [records[:half], records[half:-5], records[-5:]]
+        files = [
+            write_dataset_csv(Dataset("companies", batch), tmp_path / f"b{i}.csv")
+            for i, batch in enumerate(batches)
+        ]
+        run_groups = tmp_path / "run_groups.json"
+        ingest_groups = tmp_path / "ingest_groups.json"
+        assert main(["run", str(config), "--groups-out", str(run_groups)]) == 0
+        state = tmp_path / "state"
+        assert main([
+            "ingest", str(files[0]), "--state", str(state), "--config", str(config),
+            "--train-dataset", str(paths["full"]),
+        ]) == 0
+        assert main(["ingest", str(files[1]), "--state", str(state)]) == 0
+        capsys.readouterr()
+        assert main([
+            "ingest", str(files[2]), "--state", str(state),
+            "--groups-out", str(ingest_groups),
+        ]) == 0
+        match = re.search(r"rescored (\d+)/(\d+) records", capsys.readouterr().out)
+        assert match is not None
+        rescored, total = int(match.group(1)), int(match.group(2))
+        assert total == 2 * len(records)  # id_overlap + token_overlap
+        assert 10 <= rescored < len(records)
+        assert run_groups.read_bytes() == ingest_groups.read_bytes()
 
     def test_state_show_prints_manifest_and_exports_groups(
         self, workspace, capsys

@@ -87,7 +87,8 @@ class TestDeltaContract:
 
 
 class TestDirtySelectivity:
-    """The identifier- and issuer-based blockings stay truly local."""
+    """Deltas dirty few records: the identifier- and issuer-based blockings
+    stay truly local, token overlap certifies the records it cannot move."""
 
     def test_id_overlap_dirties_only_value_owners(self, golden_benchmark):
         blocking = IdOverlapBlocking()
@@ -96,6 +97,21 @@ class TestDirtySelectivity:
         # Far fewer dirty records than the corpus: only first carriers of
         # identifier values the last five records touch.
         assert len(delta.dirty_record_ids) < len(dataset.records) // 4
+
+    def test_token_overlap_dirties_few_records(self, golden_benchmark):
+        # The first delta on a prepared index has no margin certificates yet
+        # and dirties every tokenised record once; it computes them, and the
+        # next 5-record delta dirties only records whose top-n can change.
+        blocking = TokenOverlapBlocking(top_n=3)
+        dataset = golden_benchmark.companies
+        records = dataset.records
+        shared = blocking.prepare(Dataset(dataset.name, records[:-10]))
+        first = blocking.delta_update(
+            shared, Dataset(dataset.name, records[:-5]), records[-10:-5]
+        )
+        delta = blocking.delta_update(first.shared, dataset, records[-5:])
+        assert len(delta.dirty_record_ids) < len(records) // 4
+        assert delta.shared == blocking.prepare(dataset)
 
     def test_token_overlap_dirties_nothing_for_tokenless_records(self, golden_benchmark):
         from repro.datagen.records import CompanyRecord

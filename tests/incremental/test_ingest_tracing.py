@@ -115,3 +115,52 @@ class TestIngestMetrics:
         assert recorder.trace().counters == {}
         matcher.close()
         assert report.num_records == len(companies.records)
+
+
+@pytest.fixture()
+def traced_multi_delta_ingest(golden_setup, pipeline_factory):
+    """The golden corpus minus its last 20 records, then four 5-record deltas."""
+    companies, _ = golden_setup
+    recorder = TraceRecorder()
+    runtime = PipelineRuntime(RuntimeConfig(), recorder=recorder)
+    matcher = IncrementalMatcher.from_pipeline(
+        pipeline_factory(runtime), name="golden-deltas"
+    )
+    records = companies.records
+    batches = [records[:-20]] + [
+        records[len(records) - 20 + 5 * step:][:5] for step in range(4)
+    ]
+    reports = [matcher.ingest(batch) for batch in batches]
+    matcher.close()
+    return recorder, reports, matcher
+
+
+class TestMultiDeltaBlockingWork:
+    """Deterministic blocking work of small deltas, pinned exactly.
+
+    The bulk ingest prepares the token index without margin certificates,
+    so the first delta rescores every tokenised record once and computes
+    them; the later deltas rescore only the new records, the identifier
+    neighbours and the token-overlap records whose certificate fails.
+    """
+
+    def test_pinned_rescoring_and_certification_counts(self, traced_multi_delta_ingest):
+        recorder, reports, _ = traced_multi_delta_ingest
+        assert [r.records_rescored for r in reports] == [304, 163, 13, 21, 13]
+        assert [r.records_certified for r in reports] == [0, 151, 311, 313, 331]
+        counters = recorder.metrics.counters()
+        assert counters["blocking.records_certified"] == 1106
+        assert counters["blocking.postings_visited"] == 5614
+        assert counters["ingest.records_rescored"] == 514
+
+    def test_every_record_is_rescored_or_certified(self, traced_multi_delta_ingest):
+        # Two shardable parts: each delta accounts for every record twice.
+        _, reports, _ = traced_multi_delta_ingest
+        for report in reports[1:]:
+            assert report.records_rescored + report.records_certified == 2 * report.num_records
+
+    def test_deltas_still_equal_the_batch_run(self, traced_multi_delta_ingest, batch_result):
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        _, _, matcher = traced_multi_delta_ingest
+        assert_equals_batch(matcher, batch_result)

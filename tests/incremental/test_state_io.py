@@ -9,6 +9,8 @@ exactly like the existing pickling (worker-shipping) path.
 import json
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,10 @@ from repro.incremental import (
 from repro.incremental.state import MANIFEST_FILE
 from repro.matching.decisions import DecisionCache
 from repro.matching.profiles import ProfileStore
+
+
+#: A state saved in format v2 (golden pipeline, first 100 records ingested).
+V2_FIXTURE = Path(__file__).parent / "fixtures" / "state_v2"
 
 
 def _columnar_payload_bytes(store: ProfileStore) -> bytes:
@@ -86,8 +92,6 @@ class TestManifest:
             IncrementalMatcher.load(state_dir)
 
     def test_missing_payload_dir_is_a_clear_error(self, saved_state):
-        import shutil
-
         _, state_dir = saved_state
         shutil.rmtree(state_dir / "rev1")
         with pytest.raises(MatchStateError, match="missing payload directory"):
@@ -310,7 +314,7 @@ class TestFormatMigration:
         companies, _ = golden_setup
         matcher, state_dir = saved_state
         manifest = read_manifest(state_dir)
-        assert manifest["format_version"] == STATE_FORMAT_VERSION == 2
+        assert manifest["format_version"] == STATE_FORMAT_VERSION == 3
         components_path = state_dir / manifest["payload_dir"] / "components.pkl"
         components = pickle.loads(components_path.read_bytes())
         legacy = components["runtime_config"]
@@ -332,6 +336,40 @@ class TestFormatMigration:
         matcher.ingest(companies.records[100:])
         assert_equals_batch(reloaded, batch_result)
         assert reloaded.groups.groups == matcher.groups.groups
+
+    def test_v2_fixture_loads_migrates_and_ingests_onward(
+        self, golden_setup, batch_result, tmp_path
+    ):
+        # A state saved by the v2 format (dict-layout token index, no
+        # margins): the golden pipeline after ingesting the first 100 records.
+        from repro.blocking.token_overlap import TokenIndex
+        from repro.datagen.records import Dataset
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        state_dir = tmp_path / "state_v2"
+        shutil.copytree(V2_FIXTURE, state_dir)
+        assert read_manifest(state_dir)["format_version"] == 2
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        token_part = reloaded.state.parts()[1]
+        migrated = reloaded.state.part_states[1]
+        assert isinstance(migrated, TokenIndex)
+        assert migrated.margins is None
+        assert migrated == token_part.prepare(
+            Dataset(companies.name, companies.records[:100])
+        )
+
+        # Its tokenised records count as dirty once, on the next delta.
+        report = reloaded.ingest(companies.records[100:105])
+        tokenised = sum(1 for count in migrated.token_counts() if count)
+        assert report.records_rescored >= tokenised
+        assert reloaded.state.part_states[1].margins is not None
+        reloaded.ingest(companies.records[105:])
+        assert_equals_batch(reloaded, batch_result)
+
+        reloaded.save(state_dir)
+        assert read_manifest(state_dir)["format_version"] == STATE_FORMAT_VERSION
 
     def test_cache_pickle_round_trip_rebuilds_the_index(self, saved_state):
         matcher, _ = saved_state

@@ -13,10 +13,12 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_incremental.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/bench_incremental.py           # full numbers
 
-A final section ingests three batches on one warm process pool and records
-the pool ledger per batch, proving the pool spawns once for the whole
-sequence and the persistent profile store ships once per revision (batches
-after the first pay no pool-start or re-pickle overhead).
+Worker rows run pairwise matching on a process pool; blocking always runs
+in the parent.  A final section ingests three batches on one warm process
+pool and records the pool ledger per batch, proving the pool spawns once
+for the whole sequence and the persistent profile store is the only
+payload, shipped once per revision (batches after the first pay no
+pool-start or re-pickle overhead).
 
 "Rescored" counts the per-record blocking rescores of the delta out of all
 records × blocking parts (the rest were certified unchanged).
@@ -128,18 +130,21 @@ def time_delta_ingest(frozen_state: bytes, delta, runtime: RuntimeConfig | None,
     return best, matcher, report
 
 
-def measure_warm_pool(matcher, records, batch_size: int) -> list[dict[str, object]]:
+#: Matching chunk size of the warm-pool section: small enough that every
+#: batch's candidates split into several chunks and so reach the pool.
+WARM_POOL_BATCH_SIZE = 64
+
+
+def measure_warm_pool(matcher, records) -> list[dict[str, object]]:
     """Ingest three batches on one warm process pool and expose its ledger.
 
     Structural proof for the pool fix: the pool spawns exactly once (batches
     after the first show a spawn delta of zero — no process start or
     re-pickle overhead in their matching stage), and the persistent profile
     store is re-published once per growing batch (one revision each), never
-    once per ``map_chunks`` call.
+    once per ``map_chunks`` call — and nothing else is published.
     """
-    runtime = RuntimeConfig(
-        workers=2, batch_size=batch_size, executor="process", blocking_shards=2
-    )
+    runtime = RuntimeConfig(workers=2, batch_size=WARM_POOL_BATCH_SIZE)
     size = (len(records) + 2) // 3
     batches = [records[i:i + size] for i in range(0, len(records), size)]
     per_batch: list[dict[str, object]] = []
@@ -170,6 +175,9 @@ def measure_warm_pool(matcher, records, batch_size: int) -> list[dict[str, objec
     assert per_batch[0]["pool_spawns_delta"] == 1, "pool should spawn on batch 1"
     assert all(row["pool_spawns_delta"] == 0 for row in per_batch[1:]), (
         "warm pool was rebuilt after the first batch"
+    )
+    assert all(row["publishes_delta"] == 1 for row in per_batch), (
+        "expected exactly one publish (the grown profile store) per batch"
     )
     return per_batch
 
@@ -216,8 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     small_delta_beats_full = True
     for workers in worker_counts:
         runtime = None if workers == 1 else RuntimeConfig(
-            workers=workers, batch_size=args.batch_size, executor="thread",
-            blocking_shards=workers,
+            workers=workers, batch_size=args.batch_size
         )
         full_seconds, batch_result = time_full_run(
             matcher, dataset, runtime, args.repeats
@@ -258,7 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print("equivalence: incremental == batch (candidates, probabilities, "
           "groups), bitwise — OK")
 
-    warm_pool_batches = measure_warm_pool(matcher, records, args.batch_size)
+    warm_pool_batches = measure_warm_pool(matcher, records)
     print(format_table(
         warm_pool_batches,
         title="Warm process pool across a 3-batch ingest (workers=2)",
@@ -287,7 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "rows": rows,
         "equivalence": {"incremental_equals_batch_bitwise": True},
         "warm_pool": {
-            "config": {"workers": 2, "executor": "process", "blocking_shards": 2},
+            "config": {"workers": 2, "batch_size": WARM_POOL_BATCH_SIZE},
             "per_batch": warm_pool_batches,
             "pool_spawned_once": True,
             "store_shipped_once_per_revision": True,

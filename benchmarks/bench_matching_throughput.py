@@ -17,14 +17,14 @@ synthetic companies benchmark, in two sections:
     columns (preparation included).
 
 * **run_matching** — end-to-end ``PipelineRuntime.run_matching`` throughput
-  with the trained logistic matcher (the columnar route), workers ×
-  executor.  Every row's decisions are asserted **bitwise identical** to
-  the serial reference (same probabilities, same verdicts): the pool
-  trades work for speed, never output.  Each row records the
-  effective ``cpu_count`` it ran under, and parallel speedup assertions
-  are skipped (and recorded as skipped) when the box has fewer cores than
-  workers — a 2-worker row on a 1-core runner measures engine overhead,
-  not parallelism.
+  with the trained logistic matcher (the columnar route), serial and on
+  the process pool at each worker count.  Every row's decisions are
+  asserted **bitwise identical** to the serial reference (same
+  probabilities, same verdicts): the pool trades work for speed, never
+  output.  Each row records the effective ``cpu_count`` it ran under, and
+  parallel speedup assertions are skipped (and recorded as skipped) when
+  the box has fewer cores than workers — a 2-worker row on a 1-core runner
+  measures engine overhead, not parallelism.
 
 The candidate set is the real blocking output (token-overlap + id-overlap),
 topped up with sliding-window pairs until pairs/records >= 10 — the
@@ -331,11 +331,10 @@ def measure_run_matching(
     candidates: Sequence[CandidatePair],
     matcher: LogisticRegressionMatcher,
     worker_counts: Sequence[int],
-    executors: Sequence[str],
     batch_size: int,
     repeats: int,
 ) -> list[dict[str, object]]:
-    """Throughput rows: workers × executor.
+    """Throughput rows, one per worker count.
 
     Asserts, for every configuration, that its decisions are bitwise
     identical to the serial reference — probabilities compared exactly,
@@ -350,45 +349,36 @@ def measure_run_matching(
     reference = None
     cpus = effective_cpu_count()
     for workers in worker_counts:
-        for executor in executors:
-            if workers == 1 and executor != executors[0]:
-                continue  # serial runs don't touch a pool; one row is enough
-            config = RuntimeConfig(
-                workers=workers, batch_size=batch_size, executor=executor
-            )
-            runtime = PipelineRuntime(config)
-            try:
-                best = float("inf")
-                decisions = None
-                for _ in range(repeats):
-                    start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                    decisions = runtime.run_matching(matcher, dataset, candidates)
-                    best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-            finally:
-                runtime.close()
-            assert isinstance(decisions, DecisionVector), "columnar route did not run"
-            if reference is None:
-                reference = decisions
-            assert decisions == reference, (
-                f"decisions drifted at workers={workers}, executor={executor}"
-            )
-            assert [d.probability for d in decisions] == [
-                d.probability for d in reference
-            ], "probabilities drifted from the serial reference"
-            throughput = len(candidates) / best
-            if baseline is None:
-                baseline = throughput
-            rows.append({
-                "Workers": workers,
-                "Executor": executor if workers > 1 else "serial",
-                "Pairs / s": round(throughput, 1),
-                "Speedup": round(throughput / baseline, 2),
-                "cpu_count": cpus,
-                "peak_rss_bytes": peak_rss_bytes(),
-                # A 2-worker row on a 1-core box measures overhead, not
-                # parallel speedup — consumers must not gate on it.
-                "speedup_meaningful": workers <= cpus,
-            })
+        runtime = PipelineRuntime(RuntimeConfig(workers=workers, batch_size=batch_size))
+        try:
+            best = float("inf")
+            decisions = None
+            for _ in range(repeats):
+                start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+                decisions = runtime.run_matching(matcher, dataset, candidates)
+                best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+        finally:
+            runtime.close()
+        assert isinstance(decisions, DecisionVector), "columnar route did not run"
+        if reference is None:
+            reference = decisions
+        assert decisions == reference, f"decisions drifted at workers={workers}"
+        assert [d.probability for d in decisions] == [
+            d.probability for d in reference
+        ], "probabilities drifted from the serial reference"
+        throughput = len(candidates) / best
+        if baseline is None:
+            baseline = throughput
+        rows.append({
+            "Workers": workers,
+            "Pairs / s": round(throughput, 1),
+            "Speedup": round(throughput / baseline, 2),
+            "cpu_count": cpus,
+            "peak_rss_bytes": peak_rss_bytes(),
+            # A 2-worker row on a 1-core box measures overhead, not
+            # parallel speedup — consumers must not gate on it.
+            "speedup_meaningful": workers <= cpus,
+        })
     return rows
 
 
@@ -402,8 +392,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--workers", default="1,2",
                         help="comma-separated worker counts (first is serial)")
-    parser.add_argument("--executors", default="process,thread",
-                        help="comma-separated subset of {process,thread}")
     parser.add_argument("--batch-size", type=positive_int, default=1024)
     parser.add_argument("--repeats", type=positive_int, default=2,
                         help="best-of repeats per point")
@@ -418,7 +406,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.entities, args.repeats, args.workers = 40, 1, "1,2"
 
     worker_counts = [int(w) for w in args.workers.split(",")]
-    executors = args.executors.split(",")
     dataset = build_dataset(args.entities, args.seed)
     candidates = build_candidates(dataset, args.min_ratio)
     ratio = len(candidates) / len(dataset)
@@ -428,8 +415,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     matcher = train_matcher(dataset)
     extraction_rows, speedups = measure_extraction(dataset, candidates, args.repeats)
     matching_rows = measure_run_matching(
-        dataset, candidates, matcher, worker_counts, executors,
-        args.batch_size, args.repeats,
+        dataset, candidates, matcher, worker_counts, args.batch_size, args.repeats,
     )
 
     print(format_table(extraction_rows, title="Feature extraction — single process"))
@@ -444,24 +430,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     speedup_checks: list[dict[str, object]] = []
     for row in matching_rows:
         if row["Workers"] == 1:
-            continue  # one parallel check per workers × executor point
+            continue  # one parallel check per pooled worker count
         check = {
             "workers": row["Workers"],
-            "executor": row["Executor"],
             "speedup": row["Speedup"],
             "cpu_count": row["cpu_count"],
         }
         if not row["speedup_meaningful"]:
             check["status"] = "skipped (cpu_count < workers)"
-            print(f"speedup assertion skipped: {row['Workers']} {row['Executor']} "
+            print(f"speedup assertion skipped: {row['Workers']} "
                   f"workers on {row['cpu_count']} core(s)")
         elif args.quick:
             check["status"] = "skipped (quick run)"
         else:
             assert row["Speedup"] >= 1.0, (
                 f"warm-pool parallel matching lost to serial: "
-                f"{row['Speedup']}x at workers={row['Workers']}, "
-                f"executor={row['Executor']} on {row['cpu_count']} core(s)"
+                f"{row['Speedup']}x at workers={row['Workers']} "
+                f"on {row['cpu_count']} core(s)"
             )
             check["status"] = "asserted >= 1.0x"
         speedup_checks.append(check)

@@ -1,7 +1,8 @@
 """Serial vs. parallel stage throughput of the runtime engine.
 
-Measures the two data-parallel pipeline stages on the synthetic companies
-benchmark under increasing worker counts, in three regimes:
+Measures pairwise matching — the stage the process pool serves — on the
+synthetic companies benchmark under increasing worker counts, in two
+regimes:
 
 * ``cpu`` — ``PipelineRuntime.run_matching`` (the "Inference Time" column
   of Table 4) with a pure-Python compute-bound matcher (Jaro–Winkler name
@@ -10,14 +11,12 @@ benchmark under increasing worker counts, in three regimes:
   of speedup.
 * ``latency`` — the same stage with a matcher paying per-request latency
   and a max batch size per request (the remote / LLM-API matching regime of
-  Section 5.2) on a thread pool.  Throughput scales with the *worker count*
-  regardless of core count, because workers overlap request latency that a
-  single connection pays sequentially.
-* ``blocking`` — ``PipelineRuntime.run_blocking`` with record-sharded
-  candidate generation (``blocking_shards = workers``) on a process pool:
-  the token inverted index is built once, the per-record-chunk scoring fans
-  out.  Like ``cpu``, this is compute-bound and scales with physical cores;
-  every row asserts the sharded candidates are byte-identical to serial.
+  Section 5.2) on the same process pool.  Throughput scales with the
+  *worker count* regardless of core count, because worker processes overlap
+  request latency that a single connection pays sequentially.
+
+Candidate generation is not measured here: it always runs in the parent
+process.
 
 Run as a script (the CI smoke invocation)::
 
@@ -108,49 +107,6 @@ def measure_throughput(
     return len(candidates) / best_seconds, decisions
 
 
-def run_blocking_scaling(
-    dataset: Dataset,
-    worker_counts: Sequence[int],
-    repeats: int,
-) -> list[dict[str, object]]:
-    """Candidate-generation throughput per worker count, sharded by record.
-
-    ``blocking_shards`` follows the worker count, so the serial baseline
-    (one worker, one shard) is exactly the pre-sharding code path and every
-    parallel row exercises the record-sharded fan-out.
-    """
-    blocking = build_blocking()
-    rows: list[dict[str, object]] = []
-    serial_throughput = None
-    serial_candidates = None
-    for workers in worker_counts:
-        runtime = PipelineRuntime(RuntimeConfig(
-            workers=workers, executor="process", blocking_shards=workers
-        ))
-        best_seconds = float("inf")
-        candidates = None
-        for _ in range(repeats):
-            start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-            candidates = runtime.run_blocking(blocking, dataset)
-            best_seconds = min(best_seconds, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-        throughput = len(candidates) / best_seconds
-        if serial_throughput is None:
-            serial_throughput, serial_candidates = throughput, candidates
-        assert candidates == serial_candidates, (
-            f"sharded candidates diverged from serial at workers={workers}"
-        )
-        rows.append({
-            "Mode": "blocking",
-            "Executor": "process" if workers > 1 else "serial",
-            "Workers": workers,
-            "Batch size": f"shards={workers}",
-            "Pairs": len(candidates),
-            "Pairs / s": round(throughput, 1),
-            "Speedup": round(throughput / serial_throughput, 2),
-        })
-    return rows
-
-
 def run_scaling(
     mode: str,
     dataset: Dataset,
@@ -163,20 +119,18 @@ def run_scaling(
     """One table row per worker count, with speedup relative to serial."""
     if mode == "cpu":
         matcher: PairwiseMatcher = ThresholdNameMatcher(similarity_threshold=0.88)
-        executor = "process"
     else:
         matcher = SimulatedLatencyMatcher(
             ThresholdNameMatcher(similarity_threshold=0.88),
             seconds_per_request=latency,
             max_pairs_per_request=batch_size,
         )
-        executor = "thread"
 
     rows: list[dict[str, object]] = []
     serial_throughput = None
     serial_decisions = None
     for workers in worker_counts:
-        config = RuntimeConfig(workers=workers, batch_size=batch_size, executor=executor)
+        config = RuntimeConfig(workers=workers, batch_size=batch_size)
         throughput, decisions = measure_throughput(
             matcher, dataset, candidates, config, repeats
         )
@@ -187,7 +141,7 @@ def run_scaling(
         )
         rows.append({
             "Mode": mode,
-            "Executor": executor if workers > 1 else "serial",
+            "Executor": "process" if workers > 1 else "serial",
             "Workers": workers,
             "Batch size": batch_size,
             "Pairs": len(candidates),
@@ -209,8 +163,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="best-of repeats per point")
     parser.add_argument("--latency", type=float, default=0.05,
                         help="per-call seconds of the simulated remote matcher")
-    parser.add_argument("--modes", default="cpu,latency,blocking",
-                        help="comma-separated subset of {cpu,latency,blocking}")
+    parser.add_argument("--modes", default="cpu,latency",
+                        help="comma-separated subset of {cpu,latency}")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload + single repeat (the CI smoke run)")
     args = parser.parse_args(argv)
@@ -221,21 +175,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     worker_counts = [int(w) for w in args.workers.split(",")]
     modes = args.modes.split(",")
     dataset = build_dataset(args.entities, args.seed)
-    # The matcher modes score a fixed candidate list; the blocking mode
-    # measures candidate generation itself, so it never needs this pass.
-    candidates = (build_blocking().candidate_pairs(dataset)
-                  if set(modes) - {"blocking"} else [])
-    print(f"workload: {len(dataset)} records, "
-          f"{len(candidates) or 'mode-generated'} candidate pairs, "
+    unknown = set(modes) - {"cpu", "latency"}
+    if unknown:
+        parser.error(f"unknown mode(s) {sorted(unknown)}; choose from cpu, latency")
+    candidates = build_blocking().candidate_pairs(dataset)
+    print(f"workload: {len(dataset)} records, {len(candidates)} candidate pairs, "
           f"{os.cpu_count()} cpu core(s)")
 
     rows: list[dict[str, object]] = []
     for mode in modes:
-        if mode == "blocking":
-            rows.extend(run_blocking_scaling(dataset, worker_counts, args.repeats))
-        else:
-            rows.extend(run_scaling(mode, dataset, candidates, worker_counts,
-                                    args.batch_size, args.repeats, args.latency))
+        rows.extend(run_scaling(mode, dataset, candidates, worker_counts,
+                                args.batch_size, args.repeats, args.latency))
 
     table = format_table(rows, title="Runtime scaling — stage throughput")
     print(table)

@@ -13,8 +13,9 @@
   worse than unlocked state: it reads as thread-safe and is not.
 
 Both rules are conservative approximations of dynamic facts; call sites
-that are provably safe (thread-pool-only payloads, helpers whose callers
-hold the lock) carry inline suppressions with a justification.
+that are provably safe (payloads that never leave the parent, helpers
+whose callers hold the lock) carry inline suppressions with a
+justification.
 """
 
 from __future__ import annotations

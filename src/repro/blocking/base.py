@@ -49,17 +49,19 @@ class Blocking(ABC):
     """Base class for candidate pair generators.
 
     Besides the one-shot :meth:`candidate_pairs` entry point, a blocking may
-    opt into the *record-sharded* two-phase protocol (``shardable = True``):
+    opt into the two-phase protocol (``shardable = True``) that incremental
+    ingestion is built on — it rescores only the records a delta touches
+    against a persistent shared index:
 
     1. :meth:`prepare` scans the whole dataset once and returns the shared
-       state every shard needs (inverted indexes, document frequencies,
-       source maps).  This phase is global on purpose — naive dataset
-       partitioning would change token document frequencies and per-record
+       state (inverted indexes, document frequencies, source maps).  This
+       phase is global on purpose — building it from a subset of the
+       records would change token document frequencies and per-record
        top-n selections, silently altering the candidates.
     2. :meth:`candidates_for` scores one chunk of records against the
-       shared state, embarrassingly parallel across chunks.
+       shared state; :meth:`owned_candidates` splits that output per record.
 
-    The contract that makes sharded execution byte-identical to serial:
+    The contract that makes rescoring byte-identical to a batch run:
     splitting the dataset's records into consecutive chunks (in dataset
     order), concatenating ``candidates_for(shared, chunk)`` over the chunks
     and de-duplicating with :func:`dedupe_pairs` must reproduce
@@ -84,11 +86,10 @@ class Blocking(ABC):
         """Return the candidate pairs for ``dataset``."""
 
     def prepare(self, dataset: Dataset) -> Any:
-        """Phase 1 of the sharded protocol: build the chunk-shared state.
+        """Phase 1 of the two-phase protocol: build the chunk-shared state.
 
-        Runs once, in the parent process; the returned object is shipped to
-        every worker (for process pools: pickled once per epoch, fetched
-        and cached worker-side) and must be picklable.
+        Runs once over the whole dataset; the incremental matcher pickles
+        the returned object into its saved state, so it must be picklable.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support record-sharded "
@@ -101,8 +102,8 @@ class Blocking(ABC):
         """Phase 2: the candidate pairs owned by one chunk of records.
 
         ``records`` is a consecutive slice of the dataset's records in
-        dataset order.  Results are raw (not de-duplicated): the engine
-        concatenates all chunks and de-duplicates once globally, because a
+        dataset order.  Results are raw (not de-duplicated): callers
+        concatenate all chunks and de-duplicate once globally, because a
         duplicate pair's two endpoints may live in different chunks.
         """
         raise NotImplementedError(
@@ -148,15 +149,14 @@ class Blocking(ABC):
         )
 
     def partition(self) -> list["Blocking"]:
-        """Independent sub-blockings the execution engine may fan out.
+        """Independent sub-blockings, in declaration order.
 
         A plain blocking is its own single partition.  Composite blockings
-        override this to expose their parts; the engine runs each part as
-        one pool task and merges the results in declaration order, so the
-        parallel merge keeps the first-blocking-wins de-duplication
-        semantics of :class:`~repro.blocking.combine.CombinedBlocking`.
-        Record sharding composes with partitioning: the engine shards each
-        *part* that is shardable, still merging parts in declaration order.
+        override this to expose their parts; the incremental matcher keeps
+        one shared index per shardable part and merges the parts in
+        declaration order, which keeps the first-blocking-wins
+        de-duplication semantics of
+        :class:`~repro.blocking.combine.CombinedBlocking`.
         """
         return [self]
 

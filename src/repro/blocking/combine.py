@@ -33,13 +33,14 @@ class CombinedBlocking(Blocking):
         return dedupe_pairs(pairs)
 
     def partition(self) -> list[Blocking]:
-        """Each member blocking is one independent execution-engine task.
+        """Each member blocking is one independent part.
 
-        Record sharding goes through here too: a combined blocking is never
-        sharded as a whole (interleaving members per record chunk would
-        break the member-major emission order that first-blocking-wins
-        de-duplication relies on) — instead the engine shards each *member*
-        that is shardable and merges members in declaration order.
+        A combined blocking is never run through the two-phase protocol as
+        a whole (interleaving members per record chunk would break the
+        member-major emission order that first-blocking-wins
+        de-duplication relies on) — incremental ingestion instead rescores
+        each *member* that is shardable and merges members in declaration
+        order.
         """
         return list(self.blockings)
 

@@ -26,7 +26,7 @@ from repro.text.normalize import normalize_identifier
 
 @dataclass(frozen=True)
 class IdentifierIndex:
-    """Shared state of the sharded protocol: the inverted identifier index.
+    """Shared state of the two-phase protocol: the inverted identifier index.
 
     ``index`` preserves first-encounter order of the identifier values (the
     order the serial pair loop walks), and each value's record list is in

@@ -21,7 +21,7 @@ from repro.registry import register_blocking
 
 @dataclass(frozen=True)
 class IssuerGroupIndex:
-    """Shared state of the sharded protocol: securities grouped by issuer.
+    """Shared state of the two-phase protocol: securities grouped by issuer.
 
     Groups preserve first-encounter order (the order the serial pair loop
     walks) and each group's security list is in dataset order.

@@ -93,12 +93,12 @@ class TokenMargins:
 
 @dataclass(frozen=True, eq=False)
 class TokenIndex:
-    """Shared state of the sharded protocol: one global pass over the data.
+    """Shared state of the two-phase protocol: one global pass over the data.
 
-    Built once by :meth:`TokenOverlapBlocking.prepare`; scoring shards read
-    it without touching the dataset again.  Global on purpose: document
-    frequencies and the frequency cutoff computed per shard would differ
-    from the serial run and change per-record top-n selections.
+    Built once by :meth:`TokenOverlapBlocking.prepare`; scoring a chunk of
+    records reads it without touching the dataset again.  Global on purpose:
+    document frequencies and the frequency cutoff computed per chunk would
+    differ from the batch run and change per-record top-n selections.
 
     Everything is interned: records are indexed in dataset order, tokens in
     first-seen order (dataset order, sorted within a record), sources in

@@ -44,7 +44,6 @@ from repro.datagen.records import Dataset
 from repro.datagen.wdc import WdcConfig, generate_wdc_products
 from repro.evaluation import format_table
 from repro.matching import EmptyTrainingSetError
-from repro.runtime import EXECUTOR_KINDS
 from repro.specs import (
     ExperimentSpec,
     PipelineSpec,
@@ -87,13 +86,7 @@ def _require_dataset(path: Path) -> Dataset | None:
 
 #: The execution-engine flags shared by ``match`` and ``run``; each maps 1:1
 #: onto a ``pipeline.runtime`` spec key.
-_RUNTIME_FLAG_KEYS = (
-    "workers",
-    "batch_size",
-    "executor",
-    "blocking_shards",
-    "trace",
-)
+_RUNTIME_FLAG_KEYS = ("workers", "batch_size", "trace")
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser, *, overrides: bool) -> None:
@@ -105,17 +98,10 @@ def _add_runtime_flags(parser: argparse.ArgumentParser, *, overrides: bool) -> N
     """
     parser.add_argument("--workers", type=positive_int,
                         default=None if overrides else 1,
-                        help="execution-engine worker slots (1 = serial engine)")
+                        help="matching worker processes (1 = serial engine)")
     parser.add_argument("--batch-size", type=positive_int,
                         default=None if overrides else 2048,
                         help="candidate pairs per pairwise-inference chunk")
-    parser.add_argument("--executor", choices=list(EXECUTOR_KINDS),
-                        default=None if overrides else "process",
-                        help="worker pool flavour used when --workers > 1")
-    parser.add_argument("--blocking-shards", type=positive_int,
-                        default=None if overrides else 1,
-                        help="record chunks candidate generation is sharded "
-                             "into (1 = one task per blocking)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="stream a structured run trace (spans + metrics, "
                              "JSON Lines) to this file; inspect it with "
@@ -331,8 +317,6 @@ def _command_match(args: argparse.Namespace) -> int:
                 runtime=RuntimeSpec(
                     workers=args.workers,
                     batch_size=args.batch_size,
-                    executor=args.executor,
-                    blocking_shards=args.blocking_shards,
                     trace=args.trace,
                 ),
             ),

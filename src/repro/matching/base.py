@@ -63,7 +63,7 @@ class PairwiseMatcher(ABC):
     * **record pairs** (the default) — chunks of ``(left, right)`` records
       go through :meth:`decide_batches`;
     * **columnar** (``columnar_capable = True``) — a two-phase protocol, the
-      matching analogue of the blocking layer's shardable protocol:
+      matching analogue of the blocking layer's two-phase protocol:
 
       1. :meth:`prepare_profiles` derives per-record state once (for the
          feature-based matchers: a

@@ -22,8 +22,8 @@ every spec by name::
     from repro.registry import register_blocking
     from repro.blocking.base import Blocking
 
-    @register_blocking("sharded_token_overlap")
-    class ShardedTokenOverlapBlocking(Blocking):
+    @register_blocking("phonetic_name")
+    class PhoneticNameBlocking(Blocking):
         ...
 
 Built-in components live in modules that are only imported on demand, so

@@ -2,8 +2,9 @@
 
 The runtime separates *what* the pipeline computes from *how* it is
 executed.  :class:`RuntimeConfig` selects the worker count, chunk size and
-pool flavour; :class:`PipelineRuntime` executes the data-parallel stages
-(candidate generation, pairwise inference); :class:`ChunkScheduler` is the
+trace file; :class:`PipelineRuntime` executes the data-parallel stages
+(candidate generation in the parent, pairwise inference in chunks, on a
+process pool when ``workers > 1``); :class:`ChunkScheduler` is the
 underlying order-preserving fan-out primitive; :class:`StageProfiler`
 records stage and per-chunk wall-clock timings.
 
@@ -17,14 +18,13 @@ the regression suite pins this on a golden dataset — and tracing never
 changes outputs either.
 """
 
-from repro.runtime.config import EXECUTOR_KINDS, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import PipelineRuntime
 from repro.runtime.pool import PoolStats, WorkerPool
 from repro.runtime.profiler import StageProfiler
-from repro.runtime.scheduler import ChunkScheduler, chunked, even_spans, split_evenly
+from repro.runtime.scheduler import ChunkScheduler, chunked
 
 __all__ = [
-    "EXECUTOR_KINDS",
     "RuntimeConfig",
     "PipelineRuntime",
     "PoolStats",
@@ -32,6 +32,4 @@ __all__ = [
     "ChunkScheduler",
     "WorkerPool",
     "chunked",
-    "even_spans",
-    "split_evenly",
 ]

@@ -5,16 +5,13 @@
 (batching, worker pools, profiling).  The pipeline delegates its two
 data-parallel stages here:
 
-* **candidate generation** — a composite blocking is partitioned into its
-  independent sub-blockings, and each shardable sub-blocking is further
-  split into record chunks (``blocking_shards``): the blocking's
-  :meth:`~repro.blocking.base.Blocking.prepare` builds the shared state
-  (inverted index, document frequencies) once in the parent, the per-chunk
-  :meth:`~repro.blocking.base.Blocking.candidates_for` calls fan out over
-  the pool, and the results merge parts-major / chunks-minor — declaration
-  order first, record order second — before one global de-duplication, so
-  first blocking wins on duplicates exactly like the serial
-  :class:`~repro.blocking.combine.CombinedBlocking`,
+* **candidate generation** — always in the parent, as one timed call: the
+  blocking's :meth:`~repro.blocking.base.Blocking.candidate_pairs` for a
+  batch run, or one part's
+  :meth:`~repro.blocking.base.Blocking.owned_candidates` against its
+  prepared shared index for an incremental delta.  On two cores, fanning
+  blocking out over a process pool lost to this in-process call up to ~7k
+  records and won only at ~35k, so the pool is never used here,
 * **pairwise inference** — candidates are chunked into ``batch_size``
   pairs, one matcher call per chunk — in-process under the serial engine,
   one pool task per chunk under the parallel engine — along one of two
@@ -33,17 +30,17 @@ data-parallel stages here:
   point.
 
 The runtime owns one persistent :class:`~repro.runtime.pool.WorkerPool`
-(via its scheduler): spawned lazily on the first
-parallel stage, reused across stage calls, pipeline runs and incremental
-batches, released by :meth:`PipelineRuntime.close` (or the context-manager
+(via its scheduler), a process pool: spawned lazily on the first parallel
+matching call, reused across calls, pipeline runs and incremental batches,
+released by :meth:`PipelineRuntime.close` (or the context-manager
 protocol) — after which the next parallel call simply respawns it.
 
 Determinism guarantee: chunk results are merged in submission order, every
 matcher decision depends only on its own record pair, and the chunking — the
 numeric batch shape a vectorised matcher sees — depends only on
-``batch_size``, never on ``workers`` or the executor.  Runs that share a
-``batch_size`` therefore produce identical decisions, edges and groups at
-any worker count.  (Shape stability matters: BLAS reductions are not
+``batch_size``, never on ``workers``.  Runs that share a ``batch_size``
+therefore produce identical decisions, edges and groups at any worker
+count.  (Shape stability matters: BLAS reductions are not
 bitwise-reproducible across matrix shapes, so re-batching can flip
 borderline probabilities at the last ULP.)
 """
@@ -51,12 +48,13 @@ borderline probabilities at the last ULP.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
 from typing import Any
 
 import numpy as np
 
-from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
+from repro.blocking.base import Blocking, CandidatePair
 from repro.datagen.records import Dataset, Record
 from repro.matching.base import IdPair, MatchDecision, PairwiseMatcher, RecordPair
 from repro.matching.decisions import DecisionVector
@@ -64,7 +62,7 @@ from repro.obs.sinks import JsonlSink
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.profiler import StageProfiler
-from repro.runtime.scheduler import ChunkScheduler, chunked, even_spans
+from repro.runtime.scheduler import ChunkScheduler, chunked, timed_call
 
 
 def _decide_chunk(
@@ -100,67 +98,25 @@ def _score_profiled_chunk(
     return plan.matcher.score_profiled(plan.profiles, id_pairs)
 
 
-@dataclass(frozen=True)
-class _BlockingPlan:
-    """Per-run shared state shipped to every blocking worker once.
-
-    ``parts`` are the partitioned sub-blockings, ``states`` their prepared
-    shared state (``None`` for parts running unsharded), ``records`` the
-    dataset's records (present when any task is sharded), ``dataset`` the
-    full dataset (present only when some part runs unsharded).  Everything
-    bulky rides here — shipped to process workers out of band (pickled once
-    per epoch) — so the per-task payload is just a pair of indexes.
-    """
-
-    parts: tuple[Blocking, ...]
-    states: tuple[Any, ...]
-    records: tuple[Record, ...] | None
-    dataset: Dataset | None
-
-
-@dataclass(frozen=True)
-class _BlockingTask:
-    """One pool task: a record-index span of one part, or a whole unsharded
-    part (``span=None``)."""
-
-    part: int
-    span: tuple[int, int] | None
-
-
-def _blocking_task(plan: _BlockingPlan, task: _BlockingTask) -> list[CandidatePair]:
-    """Worker task: candidates of one record chunk (or one whole part)."""
-    blocking = plan.parts[task.part]
-    if task.span is None:
-        return blocking.candidate_pairs(plan.dataset)
-    start, stop = task.span
-    return blocking.candidates_for(plan.states[task.part], plan.records[start:stop])
-
-
-@dataclass(frozen=True)
-class _DeltaBlockingPlan:
-    """Shared state of the per-record rescoring fan-out (delta ingestion).
-
-    One part, its prepared shared index, and the records to rescore; tasks
-    are index spans into ``records``.
-    """
-
-    part: Blocking
-    state: Any
-    records: tuple[Record, ...]
-
-
-def _delta_blocking_task(
-    plan: _DeltaBlockingPlan, span: tuple[int, int]
-) -> list[tuple[CandidatePair, ...]]:
-    """Worker task: per-record owned candidate lists for one record span
-    (:meth:`~repro.blocking.base.Blocking.owned_candidates`)."""
-    start, stop = span
-    return plan.part.owned_candidates(plan.state, plan.records[start:stop])
-
-
 def _owned_candidate_count(owned: list[tuple[CandidatePair, ...]]) -> int:
-    """Candidates across one delta-blocking span's per-record owned lists."""
+    """Candidates across a delta's per-record owned lists."""
     return sum(len(pairs) for pairs in owned)
+
+
+def _in_process(
+    fn: Callable[[Any], Any],
+    argument: Any,
+    stage: str,
+    profiler: StageProfiler | None,
+    items: Callable[[Any], int],
+) -> Any:
+    """Run ``fn(argument)`` in the parent, recorded as one ``stage`` chunk."""
+    result, start, end = timed_call(fn, argument)
+    if profiler is not None:
+        profiler.record_chunk(
+            stage, end - start, items=items(result), start=start, end=end
+        )
+    return result
 
 
 class PipelineRuntime:
@@ -233,57 +189,13 @@ class PipelineRuntime:
         dataset: Dataset,
         profiler: StageProfiler | None = None,
     ) -> list[CandidatePair]:
-        """Generate candidate pairs, fanning out parts and record shards.
+        """Generate candidate pairs in the parent process.
 
-        The task list is built parts-major, chunks-minor: the blocking is
-        partitioned into its independent parts (declaration order), and each
-        shardable part is split into ``blocking_shards`` consecutive record
-        chunks — its :meth:`~repro.blocking.base.Blocking.prepare` runs once
-        here in the parent, the chunk tasks only score.  Non-shardable parts
-        stay one task each.  All tasks go through one scheduler call (one
-        pool), results merge in submission order, and a single global
-        de-duplication keeps the first occurrence — which reproduces the
-        serial semantics bit for bit, including first-blocking-wins tags.
+        One :meth:`~repro.blocking.base.Blocking.candidate_pairs` call,
+        recorded as one ``blocking`` chunk whose item count is the number
+        of candidates.
         """
-        parts = blocking.partition()
-        shards = self.config.blocking_shards
-        tasks: list[_BlockingTask] = []
-        states: list[Any] = []
-        for index, part in enumerate(parts):
-            if shards > 1 and part.shardable:
-                states.append(part.prepare(dataset))
-                tasks.extend(
-                    _BlockingTask(index, span)
-                    for span in even_spans(len(dataset), shards)
-                )
-            else:
-                states.append(None)
-                tasks.append(_BlockingTask(index, None))
-        if len(tasks) == 1 and tasks[0].span is None:
-            # One whole-part task: skip the plan plumbing entirely.
-            return blocking.candidate_pairs(dataset)
-        needs_records = any(task.span is not None for task in tasks)
-        needs_dataset = any(task.span is None for task in tasks)
-        # Both can ride along in the mixed case: one pickling pass memoizes
-        # the Record objects the dataset and the tuple share.
-        plan = _BlockingPlan(
-            parts=tuple(parts),
-            states=tuple(states),
-            records=tuple(dataset.records) if needs_records else None,
-            dataset=dataset if needs_dataset else None,
-        )
-        per_task = self.scheduler.map_chunks(
-            _blocking_task,
-            tasks,
-            stage="blocking",
-            profiler=profiler,
-            shared=plan,
-            items=len,  # candidates emitted per task -> candidates/s chunks
-        )
-        merged: list[CandidatePair] = []
-        for pairs in per_task:
-            merged.extend(pairs)
-        return dedupe_pairs(merged)
+        return _in_process(blocking.candidate_pairs, dataset, "blocking", profiler, len)
 
     def run_blocking_delta(
         self,
@@ -297,30 +209,19 @@ class PipelineRuntime:
         The incremental-ingestion counterpart of :meth:`run_blocking`: given
         one (shardable) part and its up-to-date shared state, return each
         record's owned candidate pairs — one tuple per record, aligned with
-        ``records``.  Spans of records fan out over the pool exactly like
-        sharded candidate generation (``blocking_shards`` tasks, shared
-        state shipped out of band), and per-record outputs are sliced
-        worker-side so the parent can splice them into a persistent
-        record → candidates map.
+        ``records`` — from one in-process
+        :meth:`~repro.blocking.base.Blocking.owned_candidates` call, recorded
+        as one ``blocking_delta`` chunk.
         """
         if not records:
             return []
-        plan = _DeltaBlockingPlan(
-            part=part, state=shared, records=tuple(records)
+        return _in_process(
+            partial(part.owned_candidates, shared),
+            records,
+            "blocking_delta",
+            profiler,
+            _owned_candidate_count,
         )
-        spans = even_spans(len(records), self.config.blocking_shards)
-        per_span = self.scheduler.map_chunks(
-            _delta_blocking_task,
-            spans,
-            stage="blocking_delta",
-            profiler=profiler,
-            shared=plan,
-            items=_owned_candidate_count,
-        )
-        merged: list[tuple[CandidatePair, ...]] = []
-        for owned in per_span:
-            merged.extend(owned)
-        return merged
 
     # -- pairwise inference -------------------------------------------------
 
@@ -394,10 +295,9 @@ class PipelineRuntime:
             plan = _MatchingPlan(matcher=matcher, profiles=profiles)
             id_batches = chunked(id_pairs, self.config.batch_size)
             # Similarity-memo accounting (trace only): delta the store's
-            # hit/miss counters around the stage.  In-process execution
-            # (serial, and threads — they share the store by reference) is
-            # fully counted; process-pool workers gather against their own
-            # shipped copies, which this parent-side delta cannot see.
+            # hit/miss counters around the stage.  Serial execution is fully
+            # counted; pool workers gather against their own shipped copies,
+            # which this parent-side delta cannot see.
             memo_before = (
                 profiles.memo_stats()
                 if self.recorder.enabled and hasattr(profiles, "memo_stats")

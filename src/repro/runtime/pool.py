@@ -1,10 +1,9 @@
 """Persistent worker pools and the shared-state epoch protocol.
 
 A fresh :class:`~concurrent.futures.ProcessPoolExecutor` per call, with
-the whole shared payload (profile store + matcher, blocking shared index)
-re-shipped each time, makes pool spawn plus payload pickling swamp the
-actual work on the matching hot path, so 2-worker parallel runs lose to
-the serial engine.  :class:`WorkerPool` inverts the cost structure:
+the whole shared payload (profile store + matcher) re-shipped each time,
+makes pool spawn plus payload pickling swamp the actual work on the
+matching hot path, so 2-worker parallel runs lose to the serial engine.  :class:`WorkerPool` inverts the cost structure:
 
 * **the pool is persistent** — spawned lazily on first use, sized once from
   ``RuntimeConfig.workers`` (excess slots idle harmlessly), and reused
@@ -23,8 +22,7 @@ the serial engine.  :class:`WorkerPool` inverts the cost structure:
 
 The parent keeps strong references to the anchor objects of the current
 epoch, so identity comparison can never be confused by id reuse after
-garbage collection.  Thread pools skip the protocol entirely: threads share
-the parent's memory, so payloads pass by reference for free.
+garbage collection.
 
 Correctness note: epoch reuse assumes a payload is a pure function of its
 anchors + version.  Mutating an anchored object in place *without* bumping
@@ -44,12 +42,11 @@ import shutil
 import tempfile
 import threading
 import weakref
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.trace import NULL_RECORDER
-from repro.runtime.config import EXECUTOR_KINDS
 
 #: Globally unique epoch ids (parent side).  A plain monotonic counter:
 #: epochs are never reused within a process, so a worker's cached epoch can
@@ -121,9 +118,8 @@ class PublishedEpoch:
 
     slot: str
     epoch: int
-    #: Spool file holding the pickled payload (``None`` for thread pools —
-    #: payloads pass by reference and are never spooled).
-    path: str | None
+    #: Spool file holding the pickled payload.
+    path: str
     payload: Any
     anchors: tuple[Any, ...] | None
     version: Any
@@ -143,7 +139,7 @@ def _shutdown_abandoned(executor: Executor | None, payload_dir: str | None) -> N
 
 
 class WorkerPool:
-    """A persistent executor plus the parent half of the epoch protocol.
+    """A persistent process pool plus the parent half of the epoch protocol.
 
     ``recorder`` (default: the shared no-op) receives lifecycle trace
     events — executor spawns, epoch publishes with payload bytes, publish
@@ -152,12 +148,9 @@ class WorkerPool:
     the metrics are the whole-run aggregate across every pool a trace sees.
     """
 
-    def __init__(self, kind: str, workers: int, *, recorder: Any = None) -> None:
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}")
+    def __init__(self, workers: int, *, recorder: Any = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be a positive integer, got {workers}")
-        self.kind = kind
         self.recorder = NULL_RECORDER if recorder is None else recorder
         #: Pool width, fixed at construction from ``RuntimeConfig.workers``.
         #: Never clamped to a call's task count: executors start workers on
@@ -184,15 +177,10 @@ class WorkerPool:
         """The live executor, spawned lazily on first use."""
         with self._lock:
             if self._executor is None:
-                if self.kind == "process":
-                    self._executor = ProcessPoolExecutor(max_workers=self.workers)
-                else:
-                    self._executor = ThreadPoolExecutor(max_workers=self.workers)
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
                 self.stats.spawns += 1
                 if self.recorder.enabled:
-                    self.recorder.event(
-                        "pool.spawn", executor=self.kind, workers=self.workers
-                    )
+                    self.recorder.event("pool.spawn", workers=self.workers)
                     self.recorder.metrics.add("pool.spawns")
                 self._refresh_finalizer()
             return self._executor
@@ -262,9 +250,8 @@ class WorkerPool:
         equality) and ``version`` compares equal, the current epoch is
         reused and nothing is pickled.  ``anchors=None`` means "always
         stale": every publish is a new epoch (the right call for payloads
-        rebuilt per call, like blocking plans).  For process pools the
-        payload is spooled to a private file once per epoch; thread pools
-        keep it by reference only.
+        rebuilt per call).  The payload is spooled to a private file once
+        per epoch.
         """
         with self._lock:
             current = self._epochs.get(slot)
@@ -284,23 +271,20 @@ class WorkerPool:
                     self.recorder.metrics.add("pool.publish_reuses")
                 return current
             epoch = next(_EPOCH_IDS)
-            path: str | None = None
-            payload_bytes: int | None = None
-            if self.kind == "process":
-                if self._payload_dir is None:
-                    self._payload_dir = tempfile.mkdtemp(prefix="repro-pool-")
-                    self._refresh_finalizer()
-                path = os.path.join(self._payload_dir, f"{slot}-{epoch:d}.pkl")
-                with open(path, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                    payload_bytes = handle.tell()
-                if current is not None and current.path is not None:
-                    # No in-flight tasks can reference the old epoch: map_chunks
-                    # drains all futures before the next publish.
-                    try:
-                        os.unlink(current.path)
-                    except OSError:
-                        pass
+            if self._payload_dir is None:
+                self._payload_dir = tempfile.mkdtemp(prefix="repro-pool-")
+                self._refresh_finalizer()
+            path = os.path.join(self._payload_dir, f"{slot}-{epoch:d}.pkl")
+            with open(path, "wb") as handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                payload_bytes = handle.tell()
+            if current is not None:
+                # No in-flight tasks can reference the old epoch: map_chunks
+                # drains all futures before the next publish.
+                try:
+                    os.unlink(current.path)
+                except OSError:
+                    pass
             published = PublishedEpoch(
                 slot=slot,
                 epoch=epoch,
@@ -312,13 +296,11 @@ class WorkerPool:
             self._epochs[slot] = published
             self.stats.publishes += 1
             if self.recorder.enabled:
-                attributes: dict[str, Any] = {"slot": slot, "epoch": epoch}
-                if payload_bytes is not None:
-                    attributes["payload_bytes"] = payload_bytes
-                self.recorder.event("pool.publish", **attributes)
+                self.recorder.event(
+                    "pool.publish", slot=slot, epoch=epoch, payload_bytes=payload_bytes
+                )
                 self.recorder.metrics.add("pool.publishes")
-                if payload_bytes is not None:
-                    self.recorder.metrics.add("pool.publish_bytes", payload_bytes)
+                self.recorder.metrics.add("pool.publish_bytes", payload_bytes)
             return published
 
     def current_epoch(self, slot: str) -> PublishedEpoch | None:
@@ -334,6 +316,6 @@ class WorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self._executor is not None else "cold"
         return (
-            f"WorkerPool(kind={self.kind!r}, workers={self.workers}, {state}, "
+            f"WorkerPool(workers={self.workers}, {state}, "
             f"slots={sorted(self._epochs)})"
         )

@@ -147,7 +147,7 @@ class StageProfiler:
         The index is zero-padded to the stage's chunk count (at least three
         digits, so the common keys stay stable), keeping lexicographic key
         order equal to chunk order at any chunk count — 1000+ chunks are
-        routine once blocking is record-sharded.
+        routine for pairwise matching at a small ``batch_size``.
         """
         timings: dict[str, float] = dict(self._stages)
         for stage, chunks in self._chunks.items():

@@ -1,17 +1,17 @@
 """The chunked scheduler: deterministic fan-out over a worker pool.
 
 The scheduler owns exactly one concern: run one function over a list of
-chunks — serially or on a :mod:`concurrent.futures` pool — and return the
-per-chunk results *in submission order*, so pooled execution is
+chunks — serially or on a process pool — and return the per-chunk results
+*in submission order*, so pooled execution is
 indistinguishable from serial execution for any per-chunk-pure function.
 Out-of-order completion never leaks into results, which is what makes the
 parallel pipeline byte-identical to the serial one.
 
 Pooled calls run on one persistent :class:`~repro.runtime.pool.WorkerPool`
 per scheduler, spawned lazily, sized once from ``config.workers`` and reused
-across calls.  Shared payloads ship to process workers through the epoch
+across calls.  Shared payloads ship to the workers through the epoch
 protocol (pickled once per payload revision, fetched and cached
-worker-side); thread workers read them by reference.
+worker-side).
 
 Failure protocol: the first worker exception — earliest by submission order
 among the failed tasks — is re-raised as-is, every not-yet-running task is
@@ -19,9 +19,8 @@ cancelled, and the pool is disposed (``cancel_futures``) so no in-flight
 chunk outlives the call that submitted it.  Disposal is not closing: the
 next call respawns fresh workers.
 
-Worker functions used with the process pool must be picklable: module-level
-functions (optionally wrapped in :func:`functools.partial`) qualify,
-closures and lambdas do not.
+Worker functions must be picklable: module-level functions (optionally
+wrapped in :func:`functools.partial`) qualify, closures and lambdas do not.
 """
 
 from __future__ import annotations
@@ -50,44 +49,6 @@ def chunked(items: Sequence[T], size: int) -> list[list[T]]:
     if size < 1:
         raise ValueError(f"chunk size must be a positive integer, got {size}")
     return [list(items[start:start + size]) for start in range(0, len(items), size)]
-
-
-def even_spans(count: int, parts: int) -> list[tuple[int, int]]:
-    """At most ``parts`` consecutive, near-equal ``(start, stop)`` spans.
-
-    The index arithmetic behind :func:`split_evenly`, exposed separately so
-    callers that only need boundaries (the sharded blocking fan-out ships
-    spans, not copies) skip materialising the chunks.  Sizes differ by at
-    most one (larger spans first), the spans tile ``range(count)`` exactly,
-    and none is empty — fewer than ``parts`` spans when ``count < parts``.
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be a positive integer, got {parts}")
-    parts = min(parts, count)
-    if parts == 0:
-        return []
-    base, extra = divmod(count, parts)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
-def split_evenly(items: Sequence[T], parts: int) -> list[list[T]]:
-    """Split ``items`` into at most ``parts`` consecutive, near-equal chunks.
-
-    Sizes differ by at most one (the larger chunks come first), the
-    concatenation of the chunks is exactly ``items``, and no chunk is empty
-    — fewer than ``parts`` chunks are returned when there are fewer items.
-    The count-based, list-materialising counterpart of :func:`chunked`; the
-    engine's sharded blocking fan-out ships :func:`even_spans` boundaries
-    instead and slices worker-side, so this helper is for callers that want
-    the chunks themselves.
-    """
-    return [list(items[start:stop]) for start, stop in even_spans(len(items), parts)]
 
 
 def timed_call(fn: Callable[[T], R], chunk: T) -> tuple[R, float, float]:
@@ -182,9 +143,9 @@ class ChunkScheduler:
 
         Without ``shared``, ``fn`` is called as ``fn(chunk)``.  With
         ``shared``, ``fn`` is called as ``fn(shared, chunk)`` and the shared
-        object ships to process-pool workers out of band through the epoch
-        protocol (pickled once per payload revision), while thread and
-        serial execution pass it by reference for free.
+        object ships to pool workers out of band through the epoch protocol
+        (pickled once per payload revision), while serial execution passes
+        it by reference for free.
 
         ``shared_anchors`` / ``shared_version`` identify the payload's
         revision for epoch reuse (see :meth:`WorkerPool.publish`); ``slot``
@@ -213,13 +174,10 @@ class ChunkScheduler:
             # Created lazily, once per scheduler, and sized from
             # ``config.workers`` exactly: never resized or rebuilt because a
             # call happens to carry fewer chunks than there are slots.
-            self._pool = WorkerPool(
-                self.config.executor, self.config.workers, recorder=self.recorder
-            )
+            self._pool = WorkerPool(self.config.workers, recorder=self.recorder)
         pool = self._pool
         executor = pool.executor
-        # Only process pools need payloads shipped; threads share memory.
-        use_epochs = shared is not None and self.config.executor == "process"
+        use_epochs = shared is not None
         if use_epochs:
             slot = slot or stage or "shared"
             published = pool.publish(
@@ -233,7 +191,7 @@ class ChunkScheduler:
                 for chunk in chunks
             ]
         else:
-            futures = [executor.submit(timed_call, bound, chunk) for chunk in chunks]
+            futures = [executor.submit(timed_call, fn, chunk) for chunk in chunks]
         raw = self._collect(futures, on_error=lambda: pool.dispose(cancel=True))
         results = []
         fetches = 0

@@ -148,8 +148,6 @@ class RuntimeSpec:
 
     workers: int = 1
     batch_size: int = 2048
-    executor: str = "process"
-    blocking_shards: int = 1
     trace: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -158,45 +156,29 @@ class RuntimeSpec:
             data["workers"] = self.workers
         if self.batch_size != 2048:
             data["batch_size"] = self.batch_size
-        if self.executor != "process":
-            data["executor"] = self.executor
-        if self.blocking_shards != 1:
-            data["blocking_shards"] = self.blocking_shards
         if self.trace is not None:
             data["trace"] = self.trace
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], key: str) -> "RuntimeSpec":
-        table = _expect_table(data, key)
-        _reject_unknown_keys(
-            table,
-            {
-                "workers",
-                "batch_size",
-                "executor",
-                "blocking_shards",
-                "trace",
-            },
-            key,
-        )
-        executor = _expect_str(table.get("executor", "process"), f"{key}.executor")
+        table = dict(_expect_table(data, key))
+        # The pool is always a process pool; specs written while the
+        # executor was a choice keep loading if they chose "process".
+        executor = _expect_str(table.pop("executor", "process"), f"{key}.executor")
+        if executor != "process":
+            raise SpecValidationError(
+                f"{key}.executor",
+                f'the thread executor was removed; the pool is always "process", '
+                f"got {executor!r}",
+            )
+        _reject_unknown_keys(table, {"workers", "batch_size", "trace"}, key)
         trace = table.get("trace")
         if trace is not None:
             trace = _expect_str(trace, f"{key}.trace")
-        from repro.runtime import EXECUTOR_KINDS
-
-        if executor not in EXECUTOR_KINDS:
-            raise SpecValidationError(
-                f"{key}.executor", f"expected one of {list(EXECUTOR_KINDS)}, got {executor!r}"
-            )
         return cls(
             workers=_expect_int(table.get("workers", 1), f"{key}.workers", minimum=1),
             batch_size=_expect_int(table.get("batch_size", 2048), f"{key}.batch_size", minimum=1),
-            executor=executor,
-            blocking_shards=_expect_int(
-                table.get("blocking_shards", 1), f"{key}.blocking_shards", minimum=1
-            ),
             trace=trace,
         )
 
@@ -206,8 +188,6 @@ class RuntimeSpec:
         return RuntimeConfig(
             workers=self.workers,
             batch_size=self.batch_size,
-            executor=self.executor,
-            blocking_shards=self.blocking_shards,
             trace=self.trace,
         )
 

@@ -95,7 +95,7 @@ class TestPoolPayloadPicklability:
     def test_suppression_silences(self):
         source = (
             "def run(executor):\n"
-            "    return executor.submit(lambda: 1)  # repro-lint: disable=pool-payload-picklability -- thread pool only\n"
+            "    return executor.submit(lambda: 1)  # repro-lint: disable=pool-payload-picklability -- never leaves the parent\n"
         )
         assert rules_of(source, PICKLE) == []
 

@@ -1,5 +1,5 @@
 """Degenerate pipeline inputs must yield singleton groups, not exceptions —
-in the serial engine and in both parallel engines."""
+in the serial engine and on process pools of two and three workers."""
 
 import pytest
 
@@ -15,8 +15,8 @@ from repro.runtime import RuntimeConfig
 
 RUNTIMES = [
     pytest.param(None, id="serial"),
-    pytest.param(RuntimeConfig(workers=2, batch_size=8, executor="thread"), id="thread"),
-    pytest.param(RuntimeConfig(workers=2, batch_size=8, executor="process"), id="process"),
+    pytest.param(RuntimeConfig(workers=2, batch_size=8), id="process"),
+    pytest.param(RuntimeConfig(workers=3, batch_size=8), id="process-3"),
 ]
 
 

@@ -3,7 +3,7 @@
 Ingesting the golden dataset in any partition — one batch, two halves,
 seven slices, or a record-at-a-time tail — must produce candidates,
 decisions and final groups **byte-identical** to the one-shot batch
-pipeline run, under the serial engine and both pool flavours.  A state
+pipeline run, under the serial engine and on process pools.  A state
 saved to disk mid-stream and reloaded must continue exactly where it left
 off.
 """
@@ -15,14 +15,8 @@ from repro.runtime import RuntimeConfig
 
 RUNTIMES = [
     pytest.param(None, id="serial"),
-    pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="thread", blocking_shards=4),
-        id="thread-sharded",
-    ),
-    pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="process", blocking_shards=4),
-        id="process-sharded",
-    ),
+    pytest.param(RuntimeConfig(workers=2, batch_size=64), id="process"),
+    pytest.param(RuntimeConfig(workers=3, batch_size=64), id="process-3"),
 ]
 
 
@@ -70,19 +64,16 @@ class TestPartitionInvariance:
         assert_equals_batch(matcher, batch_result)
 
 
-#: The pool sweep axes: executor flavour × blocking sharding (``serial``
-#: never spawns a pool).  Unsharded, blocking runs one task per part and
-#: the pool serves the other stages; three shards on two workers give more
-#: blocking tasks than workers.
-POOL_SWEEP = [pytest.param(RuntimeConfig(batch_size=64), id="serial")] + [
-    pytest.param(
-        RuntimeConfig(
-            workers=2, batch_size=64, executor=executor, blocking_shards=shards
-        ),
-        id=f"{executor}-{label}",
-    )
-    for executor in ("thread", "process")
-    for shards, label in ((1, "unsharded"), (3, "sharded"))
+#: The pool sweep: how matching chunks meet the pool (``serial`` never
+#: spawns one).  At batch size 64 every ingest's candidates split into
+#: several chunks that fan out; at 4096 each ingest is one chunk, which runs
+#: in the parent even though the config asks for workers; at batch size 16
+#: on three workers there are many more chunks than workers.
+POOL_SWEEP = [
+    pytest.param(RuntimeConfig(batch_size=64), id="serial"),
+    pytest.param(RuntimeConfig(workers=2, batch_size=64), id="process-chunked"),
+    pytest.param(RuntimeConfig(workers=2, batch_size=4096), id="process-one-chunk"),
+    pytest.param(RuntimeConfig(workers=3, batch_size=16), id="process-3-small-chunks"),
 ]
 
 
@@ -92,7 +83,7 @@ class TestPoolInvariance:
     def test_pool_is_invisible_in_the_artefacts(
         self, golden_setup, pipeline_factory, batch_result, runtime, num_batches
     ):
-        """Executor × partition → byte-identical output.
+        """Pool shape × partition → byte-identical output.
 
         The persistent pool and the epoch protocol only change *where* work
         runs and *how* shared state travels — candidates, decisions and
@@ -119,9 +110,7 @@ class TestWarmPoolAcrossBatches:
         map_chunks call.
         """
         companies, _ = golden_setup
-        runtime = RuntimeConfig(
-            workers=2, batch_size=64, executor="process", blocking_shards=4
-        )
+        runtime = RuntimeConfig(workers=2, batch_size=64)
         batches = partition_records(companies.records, 3)
         matcher = IncrementalMatcher.from_pipeline(
             pipeline_factory(runtime), name="golden"
@@ -137,6 +126,9 @@ class TestWarmPoolAcrossBatches:
             # grow it once.
             store = matcher.state.profiles
             assert store is not None and store.revision == 2
+            # ... and that payload is all the pool ever carries: delta
+            # blocking runs in the parent.
+            assert matcher.runtime.pool_stats()["publishes"] == 3
             assert_equals_batch(matcher, batch_result)
         finally:
             matcher.close()

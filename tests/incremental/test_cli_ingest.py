@@ -131,7 +131,8 @@ class TestExistingStateRuntime:
         config = tmp_path / "config.toml"
         config.write_text(
             CONFIG_TOML.format(dataset=paths["full"].as_posix())
-            + "\n[pipeline.runtime]\nworkers = 2\nexecutor = \"thread\"\n"
+            # The retired executor key still loads with its one legal value.
+            + "\n[pipeline.runtime]\nworkers = 2\nexecutor = \"process\"\n"
         )
         assert main([
             "ingest", str(paths["batch1"]),
@@ -148,6 +149,23 @@ class TestExistingStateRuntime:
 
 
 class TestIngestErrors:
+    def test_thread_executor_spec_fails_clearly(self, workspace, capsys, tmp_path):
+        root, _, paths = workspace
+        config = tmp_path / "thread.toml"
+        config.write_text(
+            CONFIG_TOML.format(dataset=paths["full"].as_posix())
+            + "\n[pipeline.runtime]\nworkers = 2\nexecutor = \"thread\"\n"
+        )
+        assert main([
+            "ingest", str(paths["batch1"]),
+            "--state", str(tmp_path / "never"), "--config", str(config),
+            "--train-dataset", str(paths["full"]),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "pipeline.runtime.executor" in err
+        assert "thread executor was removed" in err
+        assert not (tmp_path / "never").exists()
+
     def test_fresh_state_without_config_fails_clearly(self, workspace, capsys):
         root, _, paths = workspace
         assert main([

@@ -7,7 +7,7 @@ def sample_trace():
     recorder = TraceRecorder()
     with recorder.span("run", kind="run", records=12):
         with recorder.span("blocking", kind="stage"):
-            recorder.event("pool.spawn", executor="process", workers=2)
+            recorder.event("pool.spawn", workers=2)
             recorder.add_span("blocking", start=0.0, end=0.5,
                               attributes={"index": 0, "items": 100})
             recorder.add_span("blocking", start=0.5, end=1.0,
@@ -38,7 +38,7 @@ class TestRenderTraceReport:
 
     def test_events_render_inline(self):
         report = render_trace_report(sample_trace())
-        assert "· pool.spawn  [executor=process, workers=2]" in report
+        assert "· pool.spawn  [workers=2]" in report
 
     def test_hit_rates_derive_from_counter_pairs(self):
         report = render_trace_report(sample_trace())

@@ -25,7 +25,7 @@ def record_sample_run(recorder):
     """A small but structurally rich run: nesting, chunks, events, metrics."""
     with recorder.span("run", kind="run", records=12):
         with recorder.span("blocking", kind="stage"):
-            recorder.event("pool.spawn", executor="process", workers=2)
+            recorder.event("pool.spawn", workers=2)
             recorder.add_span("blocking", start=10.0, end=10.5,
                               attributes={"index": 0, "items": 6})
             recorder.add_span("blocking", start=10.5, end=11.0,

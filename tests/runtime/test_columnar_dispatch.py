@@ -6,7 +6,8 @@ flag.  Columnar matchers score id-pair chunks with ``score_profiled``
 :class:`~repro.matching.decisions.DecisionVector`); the rest score
 record-pair chunks with ``decide_batches``.  The contract: the columnar
 route's decisions equal the matcher's own ``decide`` on the record pairs
-byte for byte — at any worker count, on either executor — and non-columnar matchers come back as plain decision lists.
+byte for byte — at any worker count — and non-columnar matchers come back
+as plain decision lists.
 """
 
 import numpy as np
@@ -45,8 +46,8 @@ def run_matching(companies, matcher, candidates, **config):
 
 CONFIGS = [
     pytest.param({"workers": 1}, id="serial"),
-    pytest.param({"workers": 2, "executor": "thread"}, id="thread"),
-    pytest.param({"workers": 2, "executor": "process"}, id="process"),
+    pytest.param({"workers": 2}, id="process"),
+    pytest.param({"workers": 3}, id="process-3"),
 ]
 
 

@@ -3,8 +3,8 @@
 Pins the full pipeline's behaviour on a fixed-seed generated dataset: the
 three-stage scores (pairwise / pre-cleanup / post-cleanup) and the group
 counts must match the values recorded when the execution engine landed, for
-the serial engine and for both parallel engines — and the parallel engines
-must reproduce the serial artefacts *identically* (same decisions, same
+the serial engine and for process pools of several widths — and the pooled
+runs must reproduce the serial artefacts *identically* (same decisions, same
 edges, same groups), which is the runtime's central determinism guarantee.
 
 If a change in matching, blocking, clean-up or the runtime shifts any of
@@ -32,7 +32,7 @@ from repro.core.precleanup import PreCleanupConfig
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.matching import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
-from repro.runtime import RuntimeConfig
+from repro.runtime import PipelineRuntime, RuntimeConfig
 
 #: Pinned golden values (seed 42, 50 entities, 4 sources; logistic matcher).
 GOLDEN = {
@@ -50,16 +50,10 @@ GOLDEN = {
 
 RUNTIMES = [
     pytest.param(None, id="serial"),
-    pytest.param(RuntimeConfig(workers=2, batch_size=64, executor="thread"), id="thread"),
-    pytest.param(RuntimeConfig(workers=2, batch_size=64, executor="process"), id="process"),
-    pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="thread", blocking_shards=4),
-        id="thread-sharded",
-    ),
-    pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="process", blocking_shards=4),
-        id="process-sharded",
-    ),
+    pytest.param(RuntimeConfig(workers=2, batch_size=64), id="process"),
+    # Three workers over five chunks: the pool width does not divide the
+    # chunk count, so workers finish out of step.
+    pytest.param(RuntimeConfig(workers=3, batch_size=64), id="process-3"),
 ]
 
 
@@ -121,8 +115,8 @@ class TestGoldenScores:
 @pytest.mark.parametrize("runtime", RUNTIMES[1:])
 class TestParallelIdenticalToSerial:
     def test_all_artefacts_identical(self, golden_setup, runtime):
-        # The determinism contract: at a fixed batch_size, worker count and
-        # executor must not change a single bit of the output (chunk shapes
+        # The determinism contract: at a fixed batch_size, the worker count
+        # must not change a single bit of the output (chunk shapes
         # are identical, merge order is submission order).
         serial = run_golden_pipeline(
             golden_setup, RuntimeConfig(workers=1, batch_size=runtime.batch_size)
@@ -147,9 +141,25 @@ class TestParallelIdenticalToSerial:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runs_record_chunk_timings(golden_setup, workers):
     result = run_golden_pipeline(
-        golden_setup, RuntimeConfig(workers=workers, batch_size=64, executor="thread")
+        golden_setup, RuntimeConfig(workers=workers, batch_size=64)
     )
     chunk_keys = [key for key in result.timings if key.startswith("pairwise_matching/chunk")]
     # 272 candidates at batch size 64 -> 5 chunks, serial and parallel alike.
     assert len(chunk_keys) == 5
     assert {"blocking", "pairwise_matching", "graph_cleanup"} <= set(result.timings)
+
+
+class TestPoolWork:
+    def test_pooled_run_publishes_only_the_matching_plan(self, golden_setup):
+        # Blocking runs in the parent, so the pool carries exactly one
+        # payload: the matcher and its profile store, published once for
+        # all five matching chunks.
+        with PipelineRuntime(RuntimeConfig(workers=2, batch_size=64)) as runtime:
+            result = run_golden_pipeline(golden_setup, runtime)
+            stats = runtime.pool_stats()
+        assert len(result.decisions) > 64  # more than one matching chunk
+        assert stats["spawns"] == 1
+        assert stats["publishes"] == 1
+        assert stats["publish_reuses"] == 0
+        blocking_chunks = [key for key in result.timings if key.startswith("blocking/chunk")]
+        assert blocking_chunks == ["blocking/chunk000"]

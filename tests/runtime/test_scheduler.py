@@ -1,6 +1,9 @@
 """Unit tests for the execution engine: config, chunking, scheduling,
 profiling, the batched matcher path and blocking partitioning."""
 
+import pickle
+from dataclasses import fields
+
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
@@ -41,9 +44,30 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError, match="batch_size must be a positive integer"):
             RuntimeConfig(batch_size=batch_size)
 
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor must be one of"):
-            RuntimeConfig(executor="coroutine")
+    def test_has_exactly_three_knobs(self):
+        # The pool is always a process pool and blocking always runs in the
+        # parent: neither the executor nor a shard count is configurable.
+        assert [spec.name for spec in fields(RuntimeConfig)] == [
+            "workers", "batch_size", "trace",
+        ]
+        with pytest.raises(TypeError):
+            RuntimeConfig(executor="process")
+
+    @pytest.mark.parametrize("name, value", [
+        ("profile_cache", True),
+        ("columnar_dispatch", False),
+        ("warm_pool", False),
+        ("executor", "thread"),
+        ("blocking_shards", 4),
+    ])
+    def test_unpickling_drops_a_retired_knob(self, name, value):
+        # Match states pickle their RuntimeConfig; one saved while a knob
+        # existed must load with the knob dropped and the rest kept.
+        legacy = RuntimeConfig(workers=3, batch_size=64)
+        object.__setattr__(legacy, name, value)
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert not hasattr(restored, name)
+        assert restored == RuntimeConfig(workers=3, batch_size=64)
 
 
 class TestChunked:
@@ -69,10 +93,10 @@ class TestChunkScheduler:
         "config",
         [
             RuntimeConfig(),
-            RuntimeConfig(workers=3, executor="thread"),
-            RuntimeConfig(workers=2, executor="process"),
+            RuntimeConfig(workers=2),
+            RuntimeConfig(workers=3),
         ],
-        ids=["serial", "thread", "process"],
+        ids=["serial", "process", "process-3"],
     )
     @pytest.mark.parametrize(
         "fn, shared, expected",
@@ -93,9 +117,9 @@ class TestChunkScheduler:
 
     def test_records_one_timing_per_chunk(self):
         profiler = StageProfiler()
-        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor="thread"))
         chunks = chunked(list(range(40)), 10)
-        scheduler.map_chunks(double_all, chunks, stage="work", profiler=profiler)
+        with ChunkScheduler(RuntimeConfig(workers=2)) as scheduler:
+            scheduler.map_chunks(double_all, chunks, stage="work", profiler=profiler)
         assert len(profiler.chunk_seconds("work")) == len(chunks)
         assert all(seconds >= 0 for seconds in profiler.chunk_seconds("work"))
 
@@ -122,7 +146,7 @@ class TestStageProfiler:
     def test_chunk_keys_sort_lexicographically_at_any_count(self, num_chunks):
         # The pad width grows with the chunk count (min 3 digits), so
         # lexicographic key order equals chunk order past 999 chunks —
-        # record-sharded blocking makes thousand-chunk stages routine.
+        # small matching batches make thousand-chunk stages routine.
         profiler = StageProfiler()
         for index in range(num_chunks):
             profiler.record_chunk("blocking", float(index))
@@ -174,10 +198,36 @@ class TestBlockingPartition:
         members = [IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]
         assert CombinedBlocking(members).partition() == members
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_blocking_matches_serial(self, executor):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocking_runs_in_the_parent_as_one_chunk(self, workers):
         companies, _ = figure2_dataset()
         blocking = CombinedBlocking([IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)])
         serial = blocking.candidate_pairs(companies)
-        runtime = PipelineRuntime(RuntimeConfig(workers=2, executor=executor))
-        assert runtime.run_blocking(blocking, companies) == serial
+        profiler = StageProfiler()
+        with PipelineRuntime(RuntimeConfig(workers=workers)) as runtime:
+            assert runtime.run_blocking(blocking, companies, profiler) == serial
+            # No pool, at any worker count: blocking never fans out.
+            assert runtime.pool_stats() is None
+        assert profiler.chunk_items("blocking") == [len(serial)]
+
+    def test_delta_blocking_runs_in_the_parent_as_one_chunk(self):
+        companies, _ = figure2_dataset()
+        part = TokenOverlapBlocking(top_n=3)
+        shared = part.prepare(companies)
+        expected = part.owned_candidates(shared, companies.records)
+        profiler = StageProfiler()
+        with PipelineRuntime(RuntimeConfig(workers=2)) as runtime:
+            owned = runtime.run_blocking_delta(part, shared, companies.records, profiler)
+            assert runtime.pool_stats() is None
+        assert owned == expected
+        assert profiler.chunk_items("blocking_delta") == [
+            sum(len(pairs) for pairs in expected)
+        ]
+
+    def test_delta_blocking_of_no_records_records_nothing(self):
+        companies, _ = figure2_dataset()
+        part = TokenOverlapBlocking(top_n=3)
+        profiler = StageProfiler()
+        runtime = PipelineRuntime()
+        assert runtime.run_blocking_delta(part, part.prepare(companies), [], profiler) == []
+        assert profiler.chunk_seconds("blocking_delta") == []

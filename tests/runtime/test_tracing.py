@@ -32,10 +32,8 @@ def workload():
 
 ENGINE_CONFIGS = [
     pytest.param(RuntimeConfig(batch_size=64), id="serial"),
-    pytest.param(RuntimeConfig(workers=2, executor="thread", batch_size=64),
-                 id="thread"),
-    pytest.param(RuntimeConfig(workers=2, executor="process", batch_size=64),
-                 id="process"),
+    pytest.param(RuntimeConfig(workers=2, batch_size=64), id="process"),
+    pytest.param(RuntimeConfig(workers=3, batch_size=64), id="process-3"),
 ]
 
 
@@ -67,7 +65,7 @@ class TestChunkSpans:
     def test_warm_process_chunks_carry_fetch_attribute(self, workload):
         dataset, matcher, candidates = workload
         recorder = TraceRecorder()
-        config = RuntimeConfig(workers=2, executor="process", batch_size=64)
+        config = RuntimeConfig(workers=2, batch_size=64)
         # One shared store across both calls: the epoch identity
         # (matcher, store, revision) stays current, so the second call's
         # chunks are all served from the workers' payload caches.
@@ -97,7 +95,7 @@ class TestPoolEvents:
     def test_pool_spawn_and_publish_events(self, workload):
         dataset, matcher, candidates = workload
         recorder = TraceRecorder()
-        config = RuntimeConfig(workers=2, executor="process", batch_size=64)
+        config = RuntimeConfig(workers=2, batch_size=64)
         profiles = matcher.prepare_profiles(dataset)
         with PipelineRuntime(config, recorder=recorder) as runtime:
             profiler = runtime.profiler()
@@ -109,7 +107,7 @@ class TestPoolEvents:
                                      profiler=profiler, profiles=profiles)
         trace = recorder.trace()
         (spawn,) = trace.find("pool.spawn")
-        assert spawn.attributes == {"executor": "process", "workers": 2}
+        assert spawn.attributes == {"workers": 2}
         (publish,) = trace.find("pool.publish")
         assert publish.attributes["slot"] == "pairwise_matching"
         assert publish.attributes["payload_bytes"] > 0
@@ -121,6 +119,27 @@ class TestPoolEvents:
         assert counters["pool.publishes"] == 1
         assert counters["pool.publish_reuses"] == 1
         assert counters["pool.publish_bytes"] == publish.attributes["payload_bytes"]
+
+    def test_pooled_pipeline_blocks_in_the_parent(self, workload):
+        # The trace of a pooled run: blocking is one chunk span measured in
+        # the parent, and the matching plan is the only published payload.
+        dataset, matcher, candidates = workload
+        recorder = TraceRecorder()
+        runtime = PipelineRuntime(RuntimeConfig(workers=2, batch_size=64),
+                                  recorder=recorder)
+        with EntityGroupMatchingPipeline(
+            matcher=matcher,
+            blocking=CombinedBlocking([IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]),
+            runtime=runtime,
+        ) as pipeline:
+            pipeline.run(dataset)
+        trace = recorder.trace()
+        (stage,) = trace.find("blocking", kind="stage")
+        (chunk,) = [c for c in stage.children if c.kind == "chunk"]
+        assert chunk.attributes["items"] == len(candidates)
+        assert "fetched" not in chunk.attributes  # never went through a worker
+        publishes = trace.find("pool.publish")
+        assert [event.attributes["slot"] for event in publishes] == ["pairwise_matching"]
 
 
 class TestTracedEqualsUntraced:

@@ -4,8 +4,8 @@ Covers the three bugfix contracts of the persistent-pool engine:
 
 * **failure semantics** — a chunk task that raises mid-batch surfaces the
   *original* exception (first by submission order), cancels the remaining
-  work, and leaves the pool disposed-but-usable — under thread and process
-  executors,
+  work, and leaves the pool disposed-but-usable — on a fresh pool and on
+  one that already served a call,
 * **sizing** — the pool is sized once from ``RuntimeConfig.workers`` and
   is never rebuilt because a call carries fewer (or more) chunks than there
   are slots,
@@ -13,6 +13,9 @@ Covers the three bugfix contracts of the persistent-pool engine:
   profile stores on the same pool must score from the new store
   (epoch bump), while an unchanged store is reused without re-shipping.
 """
+
+import os
+import pickle
 
 import pytest
 
@@ -45,11 +48,13 @@ def shared_explode_on_negative(shared, chunk):
     return explode_on_negative(chunk)
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+# Four workers take every chunk of these calls at once, so completion order
+# is left to the OS scheduler; two workers queue the later chunks.
+@pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("reused", [False, True], ids=["fresh", "reused"])
 class TestFailureSemantics:
-    def scheduler(self, executor, reused):
-        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor=executor))
+    def scheduler(self, workers, reused):
+        scheduler = ChunkScheduler(RuntimeConfig(workers=workers))
         if reused:
             # A pool that already served a call and holds a published
             # payload epoch must fail, dispose and recover the same way as
@@ -61,31 +66,31 @@ class TestFailureSemantics:
             assert scheduler.pool.stats.spawns == 1
         return scheduler
 
-    def test_reraises_the_original_worker_exception(self, executor, reused):
-        scheduler = self.scheduler(executor, reused)
+    def test_reraises_the_original_worker_exception(self, workers, reused):
+        scheduler = self.scheduler(workers, reused)
         chunks = [[1, 2], [3, -4], [5, 6], [7, 8]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[3, -4\]"):
             scheduler.map_chunks(explode_on_negative, chunks)
         scheduler.close()
 
-    def test_reraises_with_a_shared_payload(self, executor, reused):
-        scheduler = self.scheduler(executor, reused)
+    def test_reraises_with_a_shared_payload(self, workers, reused):
+        scheduler = self.scheduler(workers, reused)
         chunks = [[1, 2], [-3], [5, 6]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[-3\]"):
             scheduler.map_chunks(shared_explode_on_negative, chunks, shared="payload")
         scheduler.close()
 
-    def test_first_failure_by_submission_order_wins(self, executor, reused):
+    def test_first_failure_by_submission_order_wins(self, workers, reused):
         # Two poisoned chunks: whichever *finishes* first must not decide —
         # the earliest submitted failure is the one re-raised.
-        scheduler = self.scheduler(executor, reused)
+        scheduler = self.scheduler(workers, reused)
         chunks = [[1], [-2], [3], [-4]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[-2\]"):
             scheduler.map_chunks(explode_on_negative, chunks)
         scheduler.close()
 
-    def test_pool_is_usable_after_a_failure(self, executor, reused):
-        scheduler = self.scheduler(executor, reused)
+    def test_pool_is_usable_after_a_failure(self, workers, reused):
+        scheduler = self.scheduler(workers, reused)
         with pytest.raises(ChunkExploded):
             scheduler.map_chunks(explode_on_negative, [[1], [-1], [2]])
         # The next call must succeed on a fresh (respawned) pool.
@@ -99,8 +104,8 @@ class TestFailureSemantics:
         assert results == [[6], [8]]
         scheduler.close()
 
-    def test_failure_disposes_the_executor(self, executor, reused):
-        scheduler = self.scheduler(executor, reused)
+    def test_failure_disposes_the_executor(self, workers, reused):
+        scheduler = self.scheduler(workers, reused)
         with pytest.raises(ChunkExploded):
             scheduler.map_chunks(explode_on_negative, [[1], [-1]])
         pool = scheduler.pool
@@ -113,7 +118,7 @@ class TestFailureSemantics:
 
 class TestPoolSizing:
     def test_sized_from_config_not_task_count(self):
-        scheduler = ChunkScheduler(RuntimeConfig(workers=4, executor="thread"))
+        scheduler = ChunkScheduler(RuntimeConfig(workers=4))
         scheduler.map_chunks(explode_on_negative, [[1], [2]])
         pool = scheduler.pool
         assert pool is not None
@@ -122,7 +127,7 @@ class TestPoolSizing:
         scheduler.close()
 
     def test_chunk_count_changes_do_not_rebuild_the_pool(self):
-        scheduler = ChunkScheduler(RuntimeConfig(workers=3, executor="thread"))
+        scheduler = ChunkScheduler(RuntimeConfig(workers=3))
         executors = []
         for num_chunks in (2, 8, 3, 16):
             chunks = [[index] for index in range(num_chunks)]
@@ -133,13 +138,13 @@ class TestPoolSizing:
         scheduler.close()
 
     def test_single_chunk_runs_inline_without_spawning(self):
-        scheduler = ChunkScheduler(RuntimeConfig(workers=4, executor="process"))
+        scheduler = ChunkScheduler(RuntimeConfig(workers=4))
         assert scheduler.map_chunks(explode_on_negative, [[1, 2]]) == [[2, 4]]
         assert scheduler.pool is None
         scheduler.close()
 
     def test_close_is_idempotent_and_not_terminal(self):
-        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor="thread"))
+        scheduler = ChunkScheduler(RuntimeConfig(workers=2))
         scheduler.map_chunks(explode_on_negative, [[1], [2]])
         scheduler.close()
         scheduler.close()
@@ -151,7 +156,7 @@ class TestPoolSizing:
 
 class TestEpochProtocol:
     def test_identical_anchors_and_version_reuse_the_epoch(self):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             payload, anchor = {"k": "v"}, object()
             first = pool.publish("slot", payload, anchors=(anchor,), version=0)
             second = pool.publish("slot", payload, anchors=(anchor,), version=0)
@@ -160,28 +165,28 @@ class TestEpochProtocol:
             assert pool.stats.publish_reuses == 1
 
     def test_new_anchor_object_bumps_the_epoch(self):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             first = pool.publish("slot", {"k": 1}, anchors=(object(),), version=0)
             second = pool.publish("slot", {"k": 2}, anchors=(object(),), version=0)
             assert second.epoch > first.epoch
             assert pool.stats.publishes == 2
 
     def test_version_change_bumps_the_epoch(self):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             anchor = object()
             first = pool.publish("slot", {"k": 1}, anchors=(anchor,), version=0)
             second = pool.publish("slot", {"k": 2}, anchors=(anchor,), version=1)
             assert second.epoch > first.epoch
 
     def test_no_anchors_means_always_republish(self):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             first = pool.publish("slot", {"k": 1})
             second = pool.publish("slot", {"k": 1})
             assert second.epoch > first.epoch
             assert pool.stats.publish_reuses == 0
 
     def test_slots_are_independent(self):
-        with WorkerPool("process", 2) as pool:
+        with WorkerPool(2) as pool:
             anchor = object()
             pool.publish("a", {"k": 1}, anchors=(anchor,), version=0)
             pool.publish("b", {"k": 2}, anchors=(anchor,), version=0)
@@ -189,17 +194,21 @@ class TestEpochProtocol:
             pool.publish("a", {"k": 1}, anchors=(anchor,), version=0)
             assert pool.stats.publish_reuses == 1
 
-    def test_thread_pools_never_spool_payloads(self):
-        with WorkerPool("thread", 2) as pool:
-            published = pool.publish("slot", {"k": 1}, anchors=(object(),))
-            assert published.path is None
-            assert pool._payload_dir is None
+    def test_every_epoch_is_spooled_and_the_stale_spool_removed(self):
+        with WorkerPool(2) as pool:
+            first = pool.publish("slot", {"k": 1})
+            with open(first.path, "rb") as handle:
+                assert pickle.load(handle) == {"k": 1}
+            second = pool.publish("slot", {"k": 2})
+            assert not os.path.exists(first.path)
+            with open(second.path, "rb") as handle:
+                assert pickle.load(handle) == {"k": 2}
+            payload_dir = pool._payload_dir
+        assert not os.path.exists(payload_dir)  # close() drops the spool
 
-    def test_validates_kind_and_workers(self):
-        with pytest.raises(ValueError, match="executor must be one of"):
-            WorkerPool("coroutine", 2)
+    def test_validates_workers(self):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
-            WorkerPool("process", 0)
+            WorkerPool(0)
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +257,7 @@ class TestProfileStoreStaleness:
         assert serial_a != serial_b
 
         runtime = PipelineRuntime(
-            RuntimeConfig(workers=2, executor="process", batch_size=16)
+            RuntimeConfig(workers=2, batch_size=16)
         )
         store_a = matcher.prepare_profiles(dataset_a.records)
         store_b = matcher.prepare_profiles(dataset_b.records)
@@ -269,7 +278,7 @@ class TestProfileStoreStaleness:
     def test_unchanged_store_is_reused_not_reshipped(self, matching_setup):
         matcher, dataset_a, _, candidates_a, _ = matching_setup
         runtime = PipelineRuntime(
-            RuntimeConfig(workers=2, executor="process", batch_size=16)
+            RuntimeConfig(workers=2, batch_size=16)
         )
         store = matcher.prepare_profiles(dataset_a.records)
         try:
@@ -290,7 +299,7 @@ class TestProfileStoreStaleness:
     def test_grown_store_bumps_revision_and_reships(self, matching_setup):
         matcher, dataset_a, _, candidates_a, _ = matching_setup
         runtime = PipelineRuntime(
-            RuntimeConfig(workers=2, executor="process", batch_size=16)
+            RuntimeConfig(workers=2, batch_size=16)
         )
         store = matcher.prepare_profiles(dataset_a.records)
         revision = store.revision
@@ -323,7 +332,7 @@ class TestRuntimePoolStats:
     def test_pool_stats_follow_the_pool_lifecycle(self, matching_setup):
         matcher, dataset_a, _, candidates_a, _ = matching_setup
         runtime = PipelineRuntime(
-            RuntimeConfig(workers=2, executor="thread", batch_size=16)
+            RuntimeConfig(workers=2, batch_size=16)
         )
         assert runtime.pool_stats() is None  # spawned lazily ...
         runtime.run_matching(matcher, dataset_a, candidates_a)

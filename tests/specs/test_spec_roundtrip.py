@@ -38,8 +38,7 @@ def full_pipeline_spec() -> PipelineSpec:
         ),
         cleanup=CleanupSpec(strategy="gralmatch", gamma=20, mu=4),
         pre_cleanup=PreCleanupSpec(enabled=True, max_component_size=30),
-        runtime=RuntimeSpec(workers=2, batch_size=64, executor="thread",
-                            blocking_shards=3),
+        runtime=RuntimeSpec(workers=2, batch_size=64),
         state=StateSpec(dir="state/companies", autosave=False),
     )
 
@@ -84,6 +83,25 @@ class TestSerializationRoundTrip:
             f.name for f in fields(RuntimeConfig)
         ]
         assert asdict(spec) == asdict(spec.to_runtime_config())
+
+    @pytest.mark.parametrize("fmt", ["json", "toml"])
+    def test_legacy_process_executor_loads_and_is_dropped(self, fmt):
+        # Specs from when the pool kind was a choice keep loading if they
+        # chose the process pool; the key is not written back.
+        document = {
+            "json": '{"runtime": {"workers": 2, "executor": "process"}}',
+            "toml": '[runtime]\nworkers = 2\nexecutor = "process"\n',
+        }[fmt]
+        spec = getattr(PipelineSpec, f"from_{fmt}")(document)
+        assert spec.runtime == RuntimeSpec(workers=2)
+        assert "executor" not in getattr(spec, f"to_{fmt}")()
+
+    def test_thread_executor_names_the_removal(self):
+        with pytest.raises(SpecValidationError) as excinfo:
+            ExperimentSpec.from_toml('[pipeline.runtime]\nexecutor = "thread"\n')
+        message = str(excinfo.value)
+        assert "thread executor was removed" in message
+        assert "\n" not in message
 
     def test_gamma_infinity_round_trips(self):
         spec = PipelineSpec(
@@ -167,10 +185,13 @@ class TestValidationErrorsNameTheKey:
             ('[pipeline.cleanup]\ngamma = "huge"\n', "pipeline.cleanup.gamma"),
             ("[pipeline.cleanup]\nmu = 0\n", "pipeline.cleanup.mu"),
             ('[pipeline.runtime]\nexecutor = "fiber"\n', "pipeline.runtime.executor"),
+            ('[pipeline.runtime]\nexecutor = "thread"\n', "pipeline.runtime.executor"),
+            ("[pipeline.runtime]\nexecutor = 2\n", "pipeline.runtime.executor"),
             ("[pipeline.runtime]\nworkers = -1\n", "pipeline.runtime.workers"),
+            # The retired shard-count, matching-route and pool-mode knobs are
+            # unknown keys now.
             ("[pipeline.runtime]\nblocking_shards = 0\n", "pipeline.runtime.blocking_shards"),
             ('[pipeline.runtime]\nblocking_shards = "all"\n', "pipeline.runtime.blocking_shards"),
-            # The retired matching-route and pool-mode knobs are unknown keys now.
             ("[pipeline.runtime]\nprofile_cache = true\n", "pipeline.runtime.profile_cache"),
             ("[pipeline.runtime]\ncolumnar_dispatch = false\n",
              "pipeline.runtime.columnar_dispatch"),
@@ -219,8 +240,7 @@ class TestBuildPipelineEquivalence:
             ),
             cleanup_config=CleanupConfig(gamma=20, mu=4),
             pre_cleanup_config=PreCleanupConfig(enabled=True, max_component_size=30),
-            runtime=RuntimeConfig(workers=2, batch_size=64, executor="thread",
-                                  blocking_shards=3),
+            runtime=RuntimeConfig(workers=2, batch_size=64),
         )
         spec = full_pipeline_spec()
         text = getattr(spec, f"to_{fmt}")()

@@ -29,19 +29,16 @@ class TestParser:
         args = build_parser().parse_args(["match", "data.csv"])
         assert args.workers == 1
         assert args.batch_size == 2048
-        assert args.executor == "process"
-        assert args.blocking_shards == 1
+        assert args.trace is None
 
     def test_match_runtime_flags(self):
         args = build_parser().parse_args([
             "match", "data.csv", "--workers", "4",
-            "--batch-size", "512", "--executor", "thread",
-            "--blocking-shards", "8",
+            "--batch-size", "512", "--trace", "run.jsonl",
         ])
         assert args.workers == 4
         assert args.batch_size == 512
-        assert args.executor == "thread"
-        assert args.blocking_shards == 8
+        assert args.trace == "run.jsonl"
 
     def test_run_runtime_flags_default_to_unset(self):
         # `run` must distinguish "not passed" from any concrete value so the
@@ -49,19 +46,16 @@ class TestParser:
         args = build_parser().parse_args(["run", "config.toml"])
         assert args.workers is None
         assert args.batch_size is None
-        assert args.executor is None
-        assert args.blocking_shards is None
+        assert args.trace is None
 
     def test_run_accepts_runtime_flags(self):
         args = build_parser().parse_args([
             "run", "config.toml", "--workers", "3",
-            "--batch-size", "128", "--executor", "thread",
-            "--blocking-shards", "4",
+            "--batch-size", "128", "--trace", "run.jsonl",
         ])
         assert args.workers == 3
         assert args.batch_size == 128
-        assert args.executor == "thread"
-        assert args.blocking_shards == 4
+        assert args.trace == "run.jsonl"
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"),
@@ -82,20 +76,13 @@ class TestParser:
         "--profile-cache", "--no-profile-cache",
         "--columnar-dispatch", "--no-columnar-dispatch",
         "--warm-pool", "--no-warm-pool",
+        "--executor", "--blocking-shards",
     ])
     def test_retired_matching_route_flags_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "input", flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_unknown_executor_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["match", "data.csv", "--workers", "2", "--executor", "fiber"]
-            )
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestGenerateCommand:
@@ -158,7 +145,7 @@ class TestMatchCommand:
         exit_code = main([
             "match", str(path), "--kind", "companies",
             "--model", "logistic", "--epochs", "1",
-            "--workers", "2", "--batch-size", "64", "--executor", "thread",
+            "--workers", "2", "--batch-size", "64",
         ])
         assert exit_code == 0
         assert "Post F1" in capsys.readouterr().out
@@ -180,8 +167,7 @@ class TestMatchCommand:
                 "--epochs", "1"]
         assert main(base) == 0
         serial_output = capsys.readouterr().out
-        assert main(base + ["--workers", "2", "--batch-size", "32",
-                            "--executor", "thread"]) == 0
+        assert main(base + ["--workers", "2", "--batch-size", "32"]) == 0
         parallel_output = capsys.readouterr().out
 
         def score_cells(text):
@@ -264,6 +250,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("line,key", [
         ("profile_cache = true", "profile_cache"),
         ("warm_pool = false", "warm_pool"),
+        ("blocking_shards = 4", "blocking_shards"),
     ])
     def test_run_retired_runtime_key_is_an_unknown_key(
         self, tmp_path, capsys, line, key
@@ -278,6 +265,17 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"pipeline.runtime.{key}: unknown key" in err
+        assert err.count("\n") == 1
+
+    def test_run_thread_executor_fails_in_one_line(self, tmp_path, capsys):
+        config = tmp_path / "experiment.toml"
+        config.write_text(
+            '[experiment]\nkind = "companies"\nmodel = "logistic"\n'
+            '[pipeline.runtime]\nworkers = 2\nexecutor = "thread"\n'
+        )
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "pipeline.runtime.executor: the thread executor was removed" in err
         assert err.count("\n") == 1
 
     def test_run_unknown_model_names_the_key(self, tmp_path, capsys):
@@ -371,7 +369,7 @@ class TestRunCommand:
 class TestRunRuntimeOverrides:
     SPEC = (
         '[experiment]\nkind = "companies"\nmodel = "logistic"\nepochs = 1\n'
-        "[pipeline.runtime]\nworkers = 2\nbatch_size = 32\nexecutor = \"thread\"\n"
+        "[pipeline.runtime]\nworkers = 2\nbatch_size = 32\nexecutor = \"process\"\n"
     )
 
     def _overridden_runtime(self, tmp_path, extra_argv):
@@ -384,24 +382,23 @@ class TestRunRuntimeOverrides:
         return _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
 
     def test_no_flags_keep_spec_values(self, tmp_path):
+        from repro.specs import RuntimeSpec
+
+        # The legacy `executor = "process"` line loads and is dropped.
         runtime = self._overridden_runtime(tmp_path, [])
-        assert runtime.workers == 2
-        assert runtime.batch_size == 32
-        assert runtime.executor == "thread"
-        assert runtime.blocking_shards == 1
+        assert runtime == RuntimeSpec(workers=2, batch_size=32)
 
     def test_cli_flags_beat_spec_values(self, tmp_path):
         runtime = self._overridden_runtime(
-            tmp_path, ["--workers", "1", "--blocking-shards", "4"]
+            tmp_path, ["--workers", "1", "--trace", "run.jsonl"]
         )
         # Overridden by the CLI:
         assert runtime.workers == 1
-        assert runtime.blocking_shards == 4
+        assert runtime.trace == "run.jsonl"
         # Untouched flags keep the spec file's values, not the defaults:
         assert runtime.batch_size == 32
-        assert runtime.executor == "thread"
 
-    def test_sharded_run_reproduces_plain_run(self, tmp_path, capsys):
+    def test_pooled_run_reproduces_plain_run(self, tmp_path, capsys):
         benchmark = generate_benchmark(
             GenerationConfig(num_entities=30, num_sources=3, seed=6)
         )
@@ -415,8 +412,7 @@ class TestRunRuntimeOverrides:
         assert main(["run", str(config)]) == 0
         plain_output = capsys.readouterr().out
         assert main([
-            "run", str(config), "--workers", "2", "--executor", "thread",
-            "--blocking-shards", "3",
+            "run", str(config), "--workers", "2", "--batch-size", "64",
         ]) == 0
-        sharded_output = capsys.readouterr().out
-        assert _score_cells(sharded_output) == _score_cells(plain_output)
+        pooled_output = capsys.readouterr().out
+        assert _score_cells(pooled_output) == _score_cells(plain_output)
